@@ -3,8 +3,10 @@
 Row reduction, rank, kernels, and two independent determinant routes: generic
 field elimination (any Gaussian-rational matrix) and fraction-free Bareiss
 elimination (Gaussian-integer matrices, big-int kernel, no rational blowup).
-Pivoting always takes the first nonzero candidate, so every result is
-bit-reproducible.
+All leading principal minors of a Gaussian-integer Hankel matrix come from an
+O(n^2) fraction-free Chebyshev recurrence instead, whose rows are the pivot
+rows the elimination would produce. Pivoting always takes the first nonzero
+candidate, so every result is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -342,19 +344,24 @@ def det_field(m: DenseMatrix) -> GaussianRational:
     return det if sign == 1 else -det
 
 
+def _int_parts(values) -> tuple[list[int], list[int]]:
+    re = []
+    im = []
+    for x in values:
+        if not x.is_gaussian_integer:
+            raise ValueError(
+                "fraction-free elimination requires Gaussian-integer entries"
+            )
+        re.append(x.re.numerator)
+        im.append(x.im.numerator)
+    return re, im
+
+
 def _as_int_pairs(m: DenseMatrix) -> tuple[list[list[int]], list[list[int]]]:
     re = []
     im = []
     for r in range(m.rows):
-        rrow = []
-        irow = []
-        for x in m.row_list(r):
-            if not x.is_gaussian_integer:
-                raise ValueError(
-                    "fraction-free elimination requires Gaussian-integer entries"
-                )
-            rrow.append(x.re.numerator)
-            irow.append(x.im.numerator)
+        rrow, irow = _int_parts(m.row_list(r))
         re.append(rrow)
         im.append(irow)
     return re, im
@@ -427,30 +434,125 @@ def det_bareiss(m: DenseMatrix) -> GaussianRational:
 
 
 def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
-    """All leading principal minors from one fraction-free elimination.
+    """All leading principal minors, fraction-free, in Z[i].
 
-    Returns [det of 0x0, det of 1x1, ..., det of nxn]; with no row swaps the
-    pivot after step k is exactly the order-(k+1) leading minor. Raises
+    Returns [det of 0x0, det of 1x1, ..., det of nxn]. Raises
     :class:`DegeneracyError` naming the order of the first vanishing minor,
-    since the elimination cannot continue past it.
+    with the minors of the lower orders attached, since neither route can
+    continue past it; ValueError for entries outside Z[i].
+
+    A Hankel input, entry (s, t) equal to c(s + t) for 2n-1 values c, takes
+    the O(n^2) Chebyshev recurrence of :func:`_hankel_minors`, whose
+    divisions are exact because every value it divides is a minor of the
+    input. Any other input takes one O(n^3) Bareiss elimination, where the
+    pivot after step k is the order-(k+1) leading minor. The tests check
+    the recurrence against that elimination, :func:`det_field`, a cofactor
+    oracle and the folding product.
     """
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
+    values = _hankel_values(m)
+    if values is not None:
+        return _hankel_minors(*_int_parts(values))
+    return _elimination_minors(m)
+
+
+def _hankel_values(m: DenseMatrix) -> list | None:
+    """c(0..2n-2) when square m has entry (s, t) == c(s + t), else None."""
     n = m.rows
+    if n == 0:
+        return []
+    e = m.entries
+    # the first row and the last column hold every value once; tuple
+    # equality compares each pair by identity first, then by ==
+    values = e[:n] + e[2 * n - 1 :: n]
+    for s in range(1, n):
+        if e[s * n : (s + 1) * n] != values[s : s + n]:
+            return None
+    return list(values)
+
+
+def _elimination_minors(m: DenseMatrix) -> list[GaussianRational]:
     re, im = _as_int_pairs(m)
+    n = m.rows
     minors = [ONE]
     pr, pi = 1, 0
     for k in range(n):
         dr, di = re[k][k], im[k][k]
         if dr == 0 and di == 0:
-            raise DegeneracyError(
-                f"leading principal minor of order {k + 1} vanishes", level=k + 1
-            )
+            raise _vanishing_minor(minors)
         minors.append(GaussianRational(dr, di))
         if k < n - 1:
             _bareiss_step(re, im, k, n, dr, di, pr, pi)
         pr, pi = dr, di
     return minors
+
+
+def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> list[GaussianRational]:
+    """Leading minors of the Hankel matrix of c(0..2n-2), given as int pairs.
+
+    T_k(l) is the determinant of rows 0..k and columns 0..k-1 and l of the
+    infinite Hankel matrix: the pivot-row entry in column l after k Bareiss
+    steps, so D(k+1) = T_k(k) is the order-(k+1) minor. With T_0(l) = c(l),
+    T_-1 = 0 and D(0) = 1, the Chebyshev (qd) recurrence
+
+        D(k)^2 T_{k+1}(l) = D(k+1) D(k) T_k(l+1)
+                            - (D(k) T_k(k+1) - D(k+1) T_{k-1}(k)) T_k(l)
+                            - D(k+1)^2 T_{k-1}(l)
+
+    gives each row from the two before, for k+1 <= l <= 2n-3-k. Every T is
+    a minor of a Gaussian-integer matrix, so the division is exact in Z[i];
+    it is done as a product with conj(D(k)^2), folded into the three row
+    coefficients, and two integer floor divisions by |D(k)|^4.
+    """
+    size = len(cur_re)
+    n = (size + 1) // 2
+    prev_re = prev_im = [0] * size
+    dr, di = 1, 0
+    minors = [ONE]
+    for k in range(n):
+        ar, ai = cur_re[k], cur_im[k]
+        if not (ar or ai):
+            raise _vanishing_minor(minors)
+        minors.append(GaussianRational(ar, ai))
+        if k == n - 1:
+            break
+        sr, si = dr * dr - di * di, -2 * dr * di  # conj(D(k)^2)
+        nrm = sr * sr + si * si
+        # a = D(k+1) D(k), b = D(k) T_k(k+1) - D(k+1) T_{k-1}(k), c = D(k+1)^2
+        xr, xi = cur_re[k + 1], cur_im[k + 1]
+        zr, zi = prev_re[k], prev_im[k]
+        tr, ti = ar * dr - ai * di, ar * di + ai * dr
+        ur = dr * xr - di * xi - ar * zr + ai * zi
+        ui = dr * xi + di * xr - ar * zi - ai * zr
+        vr, vi = ar * ar - ai * ai, 2 * ar * ai
+        a_r, a_i = tr * sr - ti * si, tr * si + ti * sr
+        b_r, b_i = ur * sr - ui * si, ur * si + ui * sr
+        c_r, c_i = vr * sr - vi * si, vr * si + vi * sr
+        nxt_re = [0] * size
+        nxt_im = [0] * size
+        for l in range(k + 1, size - 1 - k):
+            xr, xi = cur_re[l + 1], cur_im[l + 1]
+            yr, yi = cur_re[l], cur_im[l]
+            zr, zi = prev_re[l], prev_im[l]
+            nxt_re[l] = (
+                a_r * xr - a_i * xi - b_r * yr + b_i * yi - c_r * zr + c_i * zi
+            ) // nrm
+            nxt_im[l] = (
+                a_r * xi + a_i * xr - b_r * yi - b_i * yr - c_r * zi - c_i * zr
+            ) // nrm
+        prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, nxt_re, nxt_im
+        dr, di = ar, ai
+    return minors
+
+
+def _vanishing_minor(minors: list) -> DegeneracyError:
+    order = len(minors)
+    return DegeneracyError(
+        f"leading principal minor of order {order} vanishes",
+        level=order,
+        minors=minors,
+    )
 
 
 class SpanBasis:

@@ -17,6 +17,7 @@ the full Hankel array.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ParseError
 from .gaussian import (
@@ -240,13 +241,11 @@ class Presentation:
             raise ParseError("shifts must be an object keyed by 's,t'")
         shifts = {}
         for key, rows in shifts_raw.items():
-            parts = key.split(",")
-            if len(parts) != 2:
+            if not _SHIFT_KEY.fullmatch(key):
                 raise ParseError(f"bad shift key {key!r}")
-            try:
-                s, t = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad shift key {key!r}") from None
+            s, t = map(int, key.split(","))
+            if (s, t) in shifts:
+                raise ParseError(f"shift key {key!r} repeats letter pair {s},{t}")
             if not isinstance(rows, list) or len(rows) != dim:
                 raise ParseError(f"shift {key!r} must have {dim} rows")
             entries = []
@@ -267,10 +266,22 @@ class Presentation:
     @classmethod
     def from_json_text(cls, text: str) -> "Presentation":
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
         return cls.from_json_dict(data)
+
+
+_SHIFT_KEY = re.compile(r"[0-9]+,[0-9]+")
+
+
+def _unique_keys(pairs) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"repeated JSON key {key!r}")
+        data[key] = value
+    return data
 
 
 def zero_presentation(p: int = 2, q: int = 2) -> Presentation:

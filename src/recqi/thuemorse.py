@@ -106,18 +106,15 @@ def fold(k: int, sigma: SignSequence | None = None) -> int:
         sign = -sign
 
 
-_ONE_PLUS_I = GaussianRational(1, 1)
-_ONE_MINUS_I = GaussianRational(1, -1)
-
-
 def folding_product(n: int, sigma: SignSequence | None = None) -> GaussianRational:
     """prod_{k=1}^{n} (1 + i*f(k)); the empty product (n = 0) is 1."""
     if n < 0:
         raise ValueError("product length must be nonnegative")
-    acc = ONE
+    re, im = 1, 0
     for k in range(1, n + 1):
-        acc = acc * (_ONE_PLUS_I if fold(k, sigma) == 1 else _ONE_MINUS_I)
-    return acc
+        f = fold(k, sigma)
+        re, im = re - f * im, im + f * re
+    return GaussianRational(re, im)
 
 
 class SeriesTruncation:
@@ -246,20 +243,25 @@ def hankel_det_table(
 ) -> list[GaussianRational]:
     """[det of order 0, ..., det of order max_order] Hankel determinants.
 
-    Gaussian-integer sequences with nonvanishing leading minors take the
-    single-elimination fast path (every determinant from one pass); a zero
-    minor or rational entries fall back to one determinant per order.
+    Gaussian-integer sequences take the one-pass leading-minor route (every
+    determinant at once); if a leading minor vanishes, the orders from there
+    up get one fraction-free determinant each. Sequences with rational
+    values get one field-elimination determinant per order.
     """
     h = hankel(seq, offset, max_order)
-    try:
-        return bareiss_leading_minors(h)
-    except (DegeneracyError, ValueError):
-        pass
+    n = max_order
+    if n == 0:
+        return [ONE]
+    # the first row and the last column hold the 2n-1 sequence values
+    values = h.entries[:n] + h.entries[2 * n - 1 :: n]
+    integral = all(x.is_gaussian_integer for x in values)
     dets = [ONE]
-    for k in range(1, max_order + 1):
-        hk = hankel(seq, offset, k)
+    if integral:
         try:
-            dets.append(det_bareiss(hk))
-        except ValueError:
-            dets.append(det_field(hk))
+            return bareiss_leading_minors(h)
+        except DegeneracyError as exc:
+            dets = exc.minors
+    det = det_bareiss if integral else det_field
+    for k in range(len(dets), n + 1):
+        dets.append(det(hankel(seq, offset, k)))
     return dets

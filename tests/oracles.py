@@ -113,6 +113,17 @@ def folding_by_reflection(length: int, signs) -> list:
     return block[:length]
 
 
+def folding_products_by_reflection(length: int, signs) -> list:
+    """[prod_{k=1}^{n} (1 + i f(k)) for n = 0..length] as GaussianRational
+    products, with f from :func:`folding_by_reflection`."""
+    acc = ONE
+    out = [acc]
+    for f in folding_by_reflection(length, signs):
+        acc = acc * GaussianRational(1, f)
+        out.append(acc)
+    return out
+
+
 def spans_equal(vectors_a, vectors_b, length) -> bool:
     sa = SpanBasis(length)
     for v in vectors_a:

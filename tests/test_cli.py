@@ -255,6 +255,32 @@ def test_malformed_presentation_file(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("alias", [" 0,0", "+0,0", "0, 0", "00,0"])
+def test_presentation_rejects_noncanonical_shift_keys(capsys, tmp_path, alias):
+    # an alias of "0,0" used to parse as (0, 0) and replace the earlier matrix
+    data = builtin("H").to_json_dict()
+    data["shifts"][alias] = data["shifts"]["1,1"]
+    bad = tmp_path / "alias.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "recmat", "eval", str(bad), "0", "0")
+    assert code == 2
+    assert out == ""
+    assert "shift key" in err
+
+
+def test_presentation_rejects_repeated_json_keys(capsys, tmp_path):
+    # json.loads alone keeps the later of two equal keys
+    text = builtin("H").to_json_text()
+    first = json.dumps(builtin("H").to_json_dict()["shifts"]["1,1"])
+    text = text.replace('"shifts": {', '"shifts": {\n    "0,0": ' + first + ",", 1)
+    bad = tmp_path / "repeated.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "recmat", "eval", str(bad), "0", "0")
+    assert code == 2
+    assert out == ""
+    assert "repeated JSON key '0,0'" in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["verify-det"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from recqi import linalg
 from recqi import (
     ZERO,
     ONE,
@@ -25,7 +26,13 @@ from recqi import (
     rref,
     solve,
 )
-from oracles import det_cofactor, random_gaussian, random_int_matrix, random_matrix
+from oracles import (
+    det_cofactor,
+    random_gaussian,
+    random_gaussian_integer,
+    random_int_matrix,
+    random_matrix,
+)
 
 
 def ints(*values):
@@ -189,6 +196,85 @@ def test_leading_minors_degeneracy_level():
         bareiss_leading_minors(DenseMatrix.from_rows([[1, 1], [1, 1]]))
     assert info.value.level == 2
     assert bareiss_leading_minors(DenseMatrix(0, 0, ())) == [ONE]
+
+
+def hankel_matrix(values):
+    n = (len(values) + 1) // 2
+    return DenseMatrix(n, n, [values[s + t] for s in range(n) for t in range(n)])
+
+
+def minors_or_level(route, m):
+    try:
+        return route(m)
+    except DegeneracyError as exc:
+        assert len(exc.minors) == exc.level
+        return ("degenerate", exc.level, exc.minors)
+
+
+def test_hankel_route_matches_elimination_on_random_matrices():
+    # small spans make vanishing leading minors common
+    rng = random.Random(2024)
+    degenerate = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        span = rng.choice((1, 2, 6))
+        values = [random_gaussian_integer(rng, span) for _ in range(2 * n - 1)]
+        m = hankel_matrix(values)
+        fast = minors_or_level(bareiss_leading_minors, m)
+        assert fast == minors_or_level(linalg._elimination_minors, m)
+        degenerate += isinstance(fast, tuple)
+    assert degenerate > 20
+
+
+def test_hankel_route_against_cofactor_and_field_determinants():
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = hankel_matrix([random_gaussian_integer(rng, 5) for _ in range(2 * n - 1)])
+        try:
+            minors = bareiss_leading_minors(m)
+        except DegeneracyError as exc:
+            minors = exc.minors
+        for k in range(1, len(minors)):
+            block = DenseMatrix.from_rows([[m[r, c] for c in range(k)] for r in range(k)])
+            assert minors[k] == det_cofactor(block) == det_field(block)
+
+
+def test_hankel_route_is_taken_for_equal_but_distinct_entries(monkeypatch):
+    # from_rows builds a fresh object per cell, so only == finds the pattern
+    m = DenseMatrix.from_rows(
+        [[GaussianRational((s + t) ** 3, 1) for t in range(4)] for s in range(4)]
+    )
+    expected = linalg._elimination_minors(m)
+
+    def no_elimination(matrix):
+        raise AssertionError("Hankel input went through the elimination")
+
+    monkeypatch.setattr(linalg, "_elimination_minors", no_elimination)
+    assert bareiss_leading_minors(m) == expected
+
+
+def test_almost_hankel_input_takes_the_elimination(monkeypatch):
+    rng = random.Random(5)
+    values = [random_gaussian_integer(rng) for _ in range(9)]
+    rows = hankel_matrix(values).to_lists()
+    rows[3][2] = rows[3][2] + ONE  # breaks (3, 2) == (2, 3) and (4, 1)
+    m = DenseMatrix.from_rows(rows)
+
+    def no_recurrence(re, im):
+        raise AssertionError("non-Hankel input went through the recurrence")
+
+    monkeypatch.setattr(linalg, "_hankel_minors", no_recurrence)
+    minors = bareiss_leading_minors(m)
+    for k in range(1, 6):
+        block = DenseMatrix.from_rows([[m[r, c] for c in range(k)] for r in range(k)])
+        assert minors[k] == det_bareiss(block)
+
+
+def test_hankel_route_rejects_rational_entries():
+    m = hankel_matrix([ONE, GaussianRational(Fraction(1, 2)), ONE])
+    with pytest.raises(ValueError):
+        bareiss_leading_minors(m)
 
 
 def test_solve():

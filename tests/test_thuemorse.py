@@ -16,6 +16,7 @@ from recqi import (
     ParseError,
     SeriesTruncation,
     SignSequence,
+    bareiss_leading_minors,
     beta_coeffs,
     det_field,
     fold,
@@ -29,7 +30,8 @@ from recqi import (
     series_product,
     tau,
 )
-from oracles import folding_by_reflection
+from recqi import linalg, thuemorse
+from oracles import folding_by_reflection, folding_products_by_reflection
 
 
 def test_tau_values():
@@ -118,6 +120,13 @@ def test_folding_product_accumulates():
     for n in range(1, 40):
         acc = acc * GaussianRational(1, fold(n, sigma))
         assert folding_product(n, sigma) == acc
+
+
+def test_folding_product_against_gaussian_product_oracle():
+    for prefix in ("", "-", "+-", "--+-", "-+-++--+"):
+        sigma = SignSequence.from_string(prefix) if prefix else None
+        expected = folding_products_by_reflection(300, sigma)
+        assert [folding_product(n, sigma) for n in range(301)] == expected
 
 
 def test_series_product_examples():
@@ -244,6 +253,68 @@ def test_hankel_det_table_degenerate_fallback():
     # route degenerates and the per-order fallback must take over
     dets = hankel_det_table(lambda n: ONE, 0, 3)
     assert dets == [ONE, ONE, ZERO, ZERO]
+
+
+def test_hankel_det_table_keeps_minors_below_the_degeneracy(monkeypatch):
+    # the order-3 leading minor of this sequence vanishes, later ones do not
+    values = [1, 0, 1, 0, 1, 1, 1, 1, -1]
+
+    def seq(n):
+        return GaussianRational(values[n])
+
+    built = []
+
+    def spy_hankel(seq, offset, order):
+        built.append(order)
+        return hankel(seq, offset, order)
+
+    def no_field(m):
+        raise AssertionError("integer sequence went through det_field")
+
+    monkeypatch.setattr(thuemorse, "hankel", spy_hankel)
+    monkeypatch.setattr(thuemorse, "det_field", no_field)
+    dets = hankel_det_table(seq, 0, 5)
+    assert built == [5, 3, 4, 5]
+    assert [str(d) for d in dets] == ["1", "1", "1", "0", "-1", "3"]
+    for n in range(1, 6):
+        assert dets[n] == det_field(hankel(seq, 0, n))
+
+
+def test_hankel_det_table_rational_route_skips_fraction_free(monkeypatch):
+    def no_bareiss(m):
+        raise AssertionError("rational sequence went through det_bareiss")
+
+    monkeypatch.setattr(thuemorse, "det_bareiss", no_bareiss)
+    beta = beta_coeffs(1 + 16)
+    dets = hankel_det_table(beta.coefficient, 1, 8)
+    assert [str(d) for d in dets] == ["1", "1", "1i", "1i", "-1", "-1", "-1i", "-1i", "1"]
+
+
+def test_hankel_det_table_lets_other_value_errors_through(monkeypatch):
+    def broken(m):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(thuemorse, "bareiss_leading_minors", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        hankel_det_table(moment, 0, 8)
+
+
+def test_moment_minors_by_recurrence_and_by_elimination():
+    h = hankel(moment, 0, 301)
+    minors = linalg._elimination_minors(h)
+    assert minors == bareiss_leading_minors(h)
+    # det of order n+1 is the product through k = n
+    assert minors == [ONE] + folding_products_by_reflection(300, None)
+
+
+def test_sign_prefix_minors_by_recurrence_and_by_elimination():
+    rng = random.Random(129)
+    for _ in range(5):
+        sigma = SignSequence([rng.choice((1, -1)) for _ in range(8)])
+        h = hankel(series_product(sigma, 256).coefficient, 0, 129)
+        minors = bareiss_leading_minors(h)
+        assert minors == linalg._elimination_minors(h)
+        assert minors == [ONE] + folding_products_by_reflection(128, sigma)
 
 
 def test_hankel_det_table_rational_fallback():
