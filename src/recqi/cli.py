@@ -55,20 +55,10 @@ def determinant_report(max_n: int, sigma: SignSequence | None) -> VerificationRe
     dets = hankel_det_table(series.coefficient, 0, max_n + 1)
     report = VerificationReport(("n", "det_order_n_plus_1", "folding_product", "match"))
     for n in range(max_n + 1):
-        report.add(
-            n,
-            format_gaussian(dets[n + 1]),
-            format_gaussian(folding_product(n, sigma)),
-        )
+        det = format_gaussian(dets[n + 1])
+        fold = format_gaussian(folding_product(n, sigma))
+        report.add((n, det, fold), det == fold)
     return report
-
-
-def cmd_verify_det(args) -> int:
-    sigma = SignSequence.from_string(args.sigma) if args.sigma is not None else None
-    report = determinant_report(args.max_n, sigma)
-    print(report.to_csv())
-    print(report.summary(), file=sys.stderr)
-    return report.exit_code
 
 
 def lu_report(depth: int) -> VerificationReport:
@@ -106,53 +96,30 @@ def lu_report(depth: int) -> VerificationReport:
         fold_prod = folding_product(size - 1)
         ok_dets = diag_prod == dets[size] and diag_prod == fold_prod
         report.add(
-            n,
-            format_gaussian(diag_prod),
-            format_gaussian(fold_prod),
+            (n, format_gaussian(diag_prod), format_gaussian(fold_prod)),
             ok_product and ok_shapes and ok_dets,
         )
     return report
 
 
-def cmd_verify_lu(args) -> int:
-    report = lu_report(args.depth)
-    print(report.to_csv())
-    print(report.summary(), file=sys.stderr)
-    return report.exit_code
-
-
-def jfraction_rows(count: int) -> tuple[list[str], int, int]:
-    """CSV lines plus (matches, total) for coefficients through index count."""
+def jfraction_report(count: int) -> VerificationReport:
+    """Continued-fraction coefficients u_n, v_n vs their closed forms, n <= count."""
     if count < 0:
         raise ValueError("--count must be nonnegative")
     depth = count + 1
     series = series_product(None, 2 * depth)
     jf = jfraction_from_moments(series.coefficients, depth)
-    lines = ["n,u_computed,u_formula,v_computed,v_formula,match"]
-    matches = 0
+    report = VerificationReport(
+        ("n", "u_computed", "u_formula", "v_computed", "v_formula", "match")
+    )
     for n in range(count + 1):
-        u_c = jf.u_coeff(n)
-        u_f = u_formula(n)
-        ok = u_c == u_f
-        if n >= 1:
-            v_c = format_gaussian(jf.v_coeff(n))
-            v_f = format_gaussian(v_formula(n))
-            ok = ok and v_c == v_f
-        else:
-            v_c = v_f = ""
-        flag = "yes" if ok else "no"
-        matches += ok
-        lines.append(
-            f"{n},{format_gaussian(u_c)},{format_gaussian(u_f)},{v_c},{v_f},{flag}"
-        )
-    return lines, matches, count + 1
-
-
-def cmd_jfraction(args) -> int:
-    lines, matches, total = jfraction_rows(args.count)
-    print("\n".join(lines))
-    print(f"{matches}/{total} rows match", file=sys.stderr)
-    return 0 if matches == total else 1
+        u_c = format_gaussian(jf.u_coeff(n))
+        u_f = format_gaussian(u_formula(n))
+        # v starts at index 1; row 0 leaves its cells empty
+        v_c = format_gaussian(jf.v_coeff(n)) if n else ""
+        v_f = format_gaussian(v_formula(n)) if n else ""
+        report.add((n, u_c, u_f, v_c, v_f), u_c == u_f and v_c == v_f)
+    return report
 
 
 def unit_det_report(
@@ -167,36 +134,23 @@ def unit_det_report(
     dets = hankel_det_table(series.coefficient, offset, max_order)
     report = VerificationReport(("order", label, "expected", "match"))
     for k in range(1, max_order + 1):
-        report.add(k, format_gaussian(dets[k]), "unit", dets[k] in GAUSSIAN_UNITS)
+        report.add((k, format_gaussian(dets[k]), "unit"), dets[k] in GAUSSIAN_UNITS)
     return report
 
 
-def cmd_beta_hankel(args) -> int:
-    report = unit_det_report(beta_coeffs, args.max_order, args.offset, "beta_det")
-    print(report.to_csv())
-    print(report.summary(), file=sys.stderr)
-    return report.exit_code
-
-
-def cmd_gamma_hankel(args) -> int:
-    report = unit_det_report(gamma_coeffs, args.max_order, args.offset, "gamma_det")
-    print(report.to_csv())
-    print(report.summary(), file=sys.stderr)
-    return report.exit_code
-
-
-def cmd_conjecture_check(args) -> int:
-    if args.trials < 0 or args.prefix_len < 0:
+def conjecture_report(
+    trials: int, prefix_len: int, max_n: int, seed: int
+) -> VerificationReport:
+    """The determinant table under random sign prefixes, one row per trial."""
+    if trials < 0 or prefix_len < 0:
         raise ValueError("--trials and --prefix-len must be nonnegative")
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     report = VerificationReport(("trial", "sigma", "checked_n", "match"))
-    for trial in range(args.trials):
-        sigma = SignSequence([rng.choice((1, -1)) for _ in range(args.prefix_len)])
-        sub = determinant_report(args.max_n, sigma)
-        report.add(trial, str(sigma), str(args.max_n), sub.all_match)
-    print(report.to_csv())
-    print(report.summary(), file=sys.stderr)
-    return report.exit_code
+    for trial in range(trials):
+        sigma = SignSequence([rng.choice((1, -1)) for _ in range(prefix_len)])
+        sub = determinant_report(max_n, sigma)
+        report.add((trial, sigma, max_n), sub.all_match)
+    return report
 
 
 def _load_presentation(source: str) -> Presentation:
@@ -224,10 +178,22 @@ def cmd_recmat_eval(args) -> int:
     return 0
 
 
+# largest table `recmat unfold` builds: 4^9 cells is builtin:H at depth 9
+MAX_UNFOLD_CELLS = 4**9
+
+
 def cmd_recmat_unfold(args) -> int:
     pres = _load_presentation(args.presentation)
     if args.depth < 0:
         raise ValueError("--depth must be nonnegative")
+    # (p*q)^depth grows from p*q >= 2 on, and 2^bit_length already exceeds
+    # the cap, so a bounded exponent decides the comparison for any depth
+    exponent = min(args.depth, MAX_UNFOLD_CELLS.bit_length())
+    if (pres.p * pres.q) ** exponent > MAX_UNFOLD_CELLS:
+        raise ValueError(
+            f"--depth {args.depth} unfolds {pres.p}^{args.depth} x"
+            f" {pres.q}^{args.depth} cells, more than the cap of {MAX_UNFOLD_CELLS}"
+        )
     matrix = unfold(pres, args.depth)
     if args.format == "json":
         rows = [
@@ -287,31 +253,43 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fold-direction sign prefix over {+,-}; default all plus"
         " (write --sigma=-++ when the prefix starts with a minus)",
     )
-    p.set_defaults(func=cmd_verify_det)
+    p.set_defaults(
+        func=lambda a: determinant_report(
+            a.max_n, None if a.sigma is None else SignSequence.from_string(a.sigma)
+        ).emit()
+    )
 
     p = sub.add_parser(
         "verify-lu",
         help="triangular decomposition of the Hankel unfoldings",
     )
     p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_verify_lu)
+    p.set_defaults(func=lambda a: lu_report(a.depth).emit())
 
     p = sub.add_parser(
         "jfraction",
         help="continued-fraction coefficients against their closed forms",
     )
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=cmd_jfraction)
+    p.set_defaults(func=lambda a: jfraction_report(a.count).emit())
 
     p = sub.add_parser("beta-hankel", help="first-difference Hankel determinant table")
     p.add_argument("--max-order", type=int, required=True, dest="max_order")
     p.add_argument("--offset", type=int, default=1)
-    p.set_defaults(func=cmd_beta_hankel)
+    p.set_defaults(
+        func=lambda a: unit_det_report(
+            beta_coeffs, a.max_order, a.offset, "beta_det"
+        ).emit()
+    )
 
     p = sub.add_parser("gamma-hankel", help="two-step difference Hankel determinants")
     p.add_argument("--max-order", type=int, required=True, dest="max_order")
     p.add_argument("--offset", type=int, default=2)
-    p.set_defaults(func=cmd_gamma_hankel)
+    p.set_defaults(
+        func=lambda a: unit_det_report(
+            gamma_coeffs, a.max_order, a.offset, "gamma_det"
+        ).emit()
+    )
 
     p = sub.add_parser(
         "conjecture-check",
@@ -321,7 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix-len", type=int, default=10, dest="prefix_len")
     p.add_argument("--max-n", type=int, default=128, dest="max_n")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_conjecture_check)
+    p.set_defaults(
+        func=lambda a: conjecture_report(a.trials, a.prefix_len, a.max_n, a.seed).emit()
+    )
 
     rm = sub.add_parser("recmat", help="presentation algebra")
     rmsub = rm.add_subparsers(dest="op", required=True)

@@ -11,14 +11,13 @@ candidate, so every result is bit-reproducible.
 
 from __future__ import annotations
 
-from .errors import DegeneracyError, ParseError
+from .errors import DegeneracyError
 from .gaussian import (
     ZERO,
     ONE,
     GaussianRational,
     as_gaussian,
     format_gaussian,
-    parse_gaussian,
 )
 
 
@@ -175,22 +174,6 @@ class DenseMatrix:
                 ",".join(format_gaussian(self._e[base + c]) for c in range(self._cols))
             )
         return "\n".join(lines)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DenseMatrix":
-        stripped = text.strip("\n")
-        if stripped == "":
-            return cls(0, 0, ())
-        rows = []
-        for line in stripped.split("\n"):
-            rows.append([parse_gaussian(cell) for cell in line.split(",")])
-        if len({len(r) for r in rows}) != 1:
-            raise ParseError("ragged CSV rows")
-        return cls.from_rows(rows)
-
-
-def mat_transpose(m: DenseMatrix) -> DenseMatrix:
-    return m.transpose()
 
 
 def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:

@@ -336,29 +336,6 @@ def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
     return vec[0]
 
 
-def _coordinate_grids(pres: Presentation, depth: int) -> list:
-    """Level-by-level coordinate vectors for every pair up to the depth.
-
-    Level L is a p^L x q^L grid; cell (r, c) holds the vector of all
-    generator values at the pair whose words are the digits of r and c.
-    """
-    actions = _column_actions(pres)
-    levels = [[[list(pres.init)]]]
-    pr, qc = 1, 1
-    for _ in range(depth):
-        cur = levels[-1]
-        nxt = [[None] * (qc * pres.q) for _ in range(pr * pres.p)]
-        for r in range(pr):
-            for c in range(qc):
-                vec = cur[r][c]
-                for (s, t), cols in actions.items():
-                    nxt[r + s * pr][c + t * qc] = _apply_action(cols, vec)
-        levels.append(nxt)
-        pr *= pres.p
-        qc *= pres.q
-    return levels
-
-
 def unfold(pres: Presentation, depth: int) -> DenseMatrix:
     """p^depth x q^depth matrix of values, words encoded as digit indices."""
     if depth < 0:
@@ -366,11 +343,58 @@ def unfold(pres: Presentation, depth: int) -> DenseMatrix:
     rows, cols = pres.p**depth, pres.q**depth
     if pres.dim == 0:
         return DenseMatrix.zeros(rows, cols)
-    grid = _coordinate_grids(pres, depth)[depth]
-    return DenseMatrix(rows, cols, [grid[r][c][0] for r in range(rows) for c in range(cols)])
+    actions = _column_actions(pres)
+    # level L is a p^L x q^L grid; cell (r, c) holds the vector of all
+    # generator values at the pair whose words are the digits of r and c
+    grid = [[list(pres.init)]]
+    pr, qc = 1, 1
+    for _ in range(depth):
+        nxt = [[None] * (qc * pres.q) for _ in range(pr * pres.p)]
+        for r, row in enumerate(grid):
+            for c, vec in enumerate(row):
+                for (s, t), action in actions.items():
+                    nxt[r + s * pr][c + t * qc] = _apply_action(action, vec)
+        grid = nxt
+        pr *= pres.p
+        qc *= pres.q
+    return DenseMatrix(rows, cols, [vec[0] for row in grid for vec in row])
 
 
 # -- the four products and transpose ----------------------------------------
+
+
+def _kronecker(pa, pb, p, q, factors, joiner) -> Presentation:
+    """Generators A_i.B_j, indexed row-major, over alphabets p and q.
+
+    Shift (s, t) is the sum of the Kronecker products M (x) N over the
+    matrix pairs (M, N) in factors(s, t).
+    """
+    a, b = pa.dim, pb.dim
+    dim = a * b
+    init = [x * y for x in pa.init for y in pb.init]
+    labels = [f"{x}{joiner}{y}" for x in pa.labels for y in pb.labels]
+    shifts = {}
+    for s in range(p):
+        for t in range(q):
+            out = [ZERO] * (dim * dim)
+            for ma, mb in factors(s, t):
+                ea, eb = ma.entries, mb.entries
+                # entry (l, j) of N lands at offset l * dim + j of each block
+                nonzero = [
+                    (l * dim + j, eb[l * b + j])
+                    for l in range(b)
+                    for j in range(b)
+                    if eb[l * b + j]
+                ]
+                for k in range(a):
+                    for i in range(a):
+                        x = ea[k * a + i]
+                        if x:
+                            base = k * b * dim + i * b
+                            for off, y in nonzero:
+                                out[base + off] = out[base + off] + x * y
+            shifts[(s, t)] = DenseMatrix(dim, dim, out)
+    return Presentation(p, q, init, shifts, labels)
 
 
 def rec_product(pa: Presentation, pb: Presentation) -> Presentation:
@@ -381,56 +405,22 @@ def rec_product(pa: Presentation, pb: Presentation) -> Presentation:
     """
     if pa.q != pb.p:
         raise ValueError("inner alphabets do not match")
-    a, b = pa.dim, pb.dim
-    dim = a * b
-    init = [pa.init[i] * pb.init[j] for i in range(a) for j in range(b)]
-    labels = [f"{x}.{y}" for x in pa.labels for y in pb.labels]
-    shifts = {}
-    for s in range(pa.p):
-        for t in range(pb.q):
-            out = [ZERO] * (dim * dim)
-            for v in range(pa.q):
-                ma = pa.shift(s, v)
-                mb = pb.shift(v, t)
-                for k in range(a):
-                    for i in range(a):
-                        x = ma[k, i]
-                        if not x:
-                            continue
-                        for l in range(b):
-                            for j in range(b):
-                                y = mb[l, j]
-                                if y:
-                                    idx = (k * b + l) * dim + (i * b + j)
-                                    out[idx] = out[idx] + x * y
-            shifts[(s, t)] = DenseMatrix(dim, dim, out)
-    return Presentation(pa.p, pb.q, init, shifts, labels)
+
+    def factors(s, t):
+        return [(pa.shift(s, v), pb.shift(v, t)) for v in range(pa.q)]
+
+    return _kronecker(pa, pb, pa.p, pb.q, factors, ".")
 
 
 def rec_hadamard(pa: Presentation, pb: Presentation) -> Presentation:
     """Entrywise product: generators A_i.B_j, shifts the Kronecker squares."""
     if pa.p != pb.p or pa.q != pb.q:
         raise ValueError("alphabets do not match")
-    a, b = pa.dim, pb.dim
-    dim = a * b
-    init = [pa.init[i] * pb.init[j] for i in range(a) for j in range(b)]
-    labels = [f"{x}*{y}" for x in pa.labels for y in pb.labels]
-    shifts = {}
-    for (s, t), ma in pa.shift_items():
-        mb = pb.shift(s, t)
-        out = [ZERO] * (dim * dim)
-        for k in range(a):
-            for i in range(a):
-                x = ma[k, i]
-                if not x:
-                    continue
-                for l in range(b):
-                    for j in range(b):
-                        y = mb[l, j]
-                        if y:
-                            out[(k * b + l) * dim + (i * b + j)] = x * y
-        shifts[(s, t)] = DenseMatrix(dim, dim, out)
-    return Presentation(pa.p, pa.q, init, shifts, labels)
+
+    def factors(s, t):
+        return [(pa.shift(s, t), pb.shift(s, t))]
+
+    return _kronecker(pa, pb, pa.p, pa.q, factors, "*")
 
 
 def rec_scale(factor, pres: Presentation) -> Presentation:
@@ -535,63 +525,31 @@ def rec_convolution(pa: Presentation, pb: Presentation) -> Presentation:
     return Presentation(pa.p, pa.q, init, shifts, labels)
 
 
-# -- minimization and saturation --------------------------------------------
+# -- minimization ----------------------------------------------------------
 
 
-def _orbit_span(dim, seeds, step) -> SpanBasis:
-    """Closure of the seeds under the step maps, as an echelon span."""
-    span = SpanBasis(dim)
-    work = []
-    for seed in seeds:
-        added = span.add(seed)
-        if added is not None:
-            work.append(added)
+def _dot(xs, ys) -> GaussianRational:
+    return sum((x * y for x, y in zip(xs, ys) if y), ZERO)
+
+
+def _orbit_span(seed, matrices) -> SpanBasis:
+    """Span of seed and of M_1 ... M_k seed for every word over the matrices.
+
+    The reachable span takes the shifts; the observation span, the orbit of
+    the init row under right multiplication, takes their transposes.
+    """
+    d = len(seed)
+    row_sets = [[m.entries[r * d : (r + 1) * d] for r in range(d)] for m in matrices]
+    span = SpanBasis(d)
+    first = span.add(seed)
+    work = [] if first is None else [first]
     while work:
         vec = work.pop()
-        for apply_one in step:
-            added = span.add(apply_one(vec))
+        for rows in row_sets:
+            added = span.add([_dot(row, vec) for row in rows])
             if added is not None:
                 work.append(added)
     return span
-
-
-def _forward_span(pres: Presentation) -> SpanBasis:
-    # orbit of the first coordinate vector under left multiplication
-    d = pres.dim
-    mats = [m for _, m in pres.shift_items()]
-
-    def make_step(m):
-        e = m.entries
-
-        def step(v):
-            return [
-                sum((e[r * d + c] * v[c] for c in range(d) if v[c]), ZERO)
-                for r in range(d)
-            ]
-
-        return step
-
-    e0 = [ONE] + [ZERO] * (d - 1)
-    return _orbit_span(d, [e0], [make_step(m) for m in mats])
-
-
-def _observation_span(pres: Presentation) -> SpanBasis:
-    # orbit of the init row under right multiplication
-    d = pres.dim
-    mats = [m for _, m in pres.shift_items()]
-
-    def make_step(m):
-        e = m.entries
-
-        def step(v):
-            return [
-                sum((e[k * d + c] * v[k] for k in range(d) if v[k]), ZERO)
-                for c in range(d)
-            ]
-
-        return step
-
-    return _orbit_span(d, [list(pres.init)], [make_step(m) for m in mats])
 
 
 def observation_kernel(pres: Presentation) -> list:
@@ -602,26 +560,10 @@ def observation_kernel(pres: Presentation) -> list:
     """
     if pres.dim == 0:
         return []
-    obs = _observation_span(pres)
+    obs = _orbit_span(list(pres.init), [m.transpose() for _, m in pres.shift_items()])
     if obs.dim == 0:
         return [list(row) for row in DenseMatrix.identity(pres.dim).to_lists()]
     return kernel_basis(DenseMatrix.from_rows(obs.vectors()))
-
-
-def restriction_kernel(pres: Presentation, depth: int) -> list:
-    """Generator combinations vanishing on every pair of length <= depth.
-
-    Brute enumeration; agrees with :func:`observation_kernel` once the
-    restriction dimensions saturate.
-    """
-    if pres.dim == 0:
-        return []
-    levels = _coordinate_grids(pres, depth)
-    rows = []
-    for grid in levels:
-        for row in grid:
-            rows.extend(row)
-    return kernel_basis(DenseMatrix.from_rows(rows))
 
 
 def minimize(pres: Presentation) -> Presentation:
@@ -634,32 +576,18 @@ def minimize(pres: Presentation) -> Presentation:
     d = pres.dim
     if d == 0:
         return zero_presentation(pres.p, pres.q)
-    forward = _forward_span(pres)
-    fwd = forward.vectors()
-    obs = _observation_span(pres)
+    mats = pres.shift_items()
+    e0 = [ONE] + [ZERO] * (d - 1)
+    fwd = _orbit_span(e0, [mat for _, mat in mats]).vectors()
+    obs = _orbit_span(list(pres.init), [mat.transpose() for _, mat in mats])
     # N = vectors of the forward span annihilated by every observation row
     if obs.dim == 0:
         null_coords = [list(row) for row in DenseMatrix.identity(len(fwd)).to_lists()]
     else:
-        ov = DenseMatrix.from_rows(
-            [
-                [
-                    sum((o[k] * v[k] for k in range(d) if v[k]), ZERO)
-                    for v in fwd
-                ]
-                for o in obs.vectors()
-            ]
-        )
-        null_coords = kernel_basis(ov)
-    null_vectors = []
-    for coords in null_coords:
-        vec = [ZERO] * d
-        for c, v in zip(coords, fwd):
-            if c:
-                for k in range(d):
-                    if v[k]:
-                        vec[k] = vec[k] + c * v[k]
-        null_vectors.append(vec)
+        ov = [[_dot(o, v) for v in fwd] for o in obs.vectors()]
+        null_coords = kernel_basis(DenseMatrix.from_rows(ov))
+    fwd_cols = list(zip(*fwd))
+    null_vectors = [[_dot(col, coords) for col in fwd_cols] for coords in null_coords]
     m = len(fwd) - len(null_vectors)
     if m == 0:
         return zero_presentation(pres.p, pres.q)
@@ -668,7 +596,6 @@ def minimize(pres: Presentation) -> Presentation:
     completion = SpanBasis(d)
     for vec in null_vectors:
         completion.add(vec)
-    e0 = [ONE] + [ZERO] * (d - 1)
     chosen = []
     for cand in [e0] + fwd:
         if len(chosen) == m:
@@ -680,16 +607,10 @@ def minimize(pres: Presentation) -> Presentation:
     basis = chosen + null_vectors
     cols = len(basis)
     # solve for all induced shift columns at once against the basis matrix
-    mats = pres.shift_items()
     rhs = []
     for _, mat in mats:
         for u in chosen:
-            rhs.append(
-                [
-                    sum((mat[r, c] * u[c] for c in range(d) if u[c]), ZERO)
-                    for r in range(d)
-                ]
-            )
+            rhs.append([_dot(mat.row_list(r), u) for r in range(d)])
     aug_rows = []
     for r in range(d):
         row = [basis[j][r] for j in range(cols)]
@@ -707,9 +628,7 @@ def minimize(pres: Presentation) -> Presentation:
                 entries.append(reduced[k, cols + idx + j])
         new_shifts[(s, t)] = DenseMatrix(m, m, entries)
         idx += m
-    new_init = [
-        sum((pres.init[k] * u[k] for k in range(d) if u[k]), ZERO) for u in chosen
-    ]
+    new_init = [_dot(pres.init, u) for u in chosen]
     labels = [f"m{k}" for k in range(m)]
     return Presentation(pres.p, pres.q, new_init, new_shifts, labels)
 
@@ -724,30 +643,6 @@ def same_function(pa: Presentation, pb: Presentation) -> bool:
     if pa.p != pb.p or pa.q != pb.q:
         return False
     return minimize(rec_sum(pa, rec_scale(-1, pb))).dim == 0
-
-
-def saturation_level(pres: Presentation, cap: int) -> int | None:
-    """Smallest N with equal generator-restriction dimension at N and N + 1.
-
-    The dimension is the rank of the matrix whose rows are generators and
-    whose columns are all word pairs of length <= N. Returns None when no
-    level at or below the cap qualifies.
-    """
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if pres.dim == 0:
-        return 0
-    levels = _coordinate_grids(pres, cap + 1)
-    ranks = []
-    cols = []  # accumulated value vectors, one per pair
-    for grid in levels:
-        for row in grid:
-            cols.extend(row)
-        ranks.append(rref(DenseMatrix.from_rows(cols))[1])
-    for n in range(cap + 1):
-        if ranks[n] == ranks[n + 1]:
-            return n
-    return None
 
 
 # -- builtin presentations ---------------------------------------------------

@@ -2,64 +2,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    index: int
-    computed: str
-    expected: str
-    match: bool
+import sys
 
 
 class VerificationReport:
-    """Rows of (index, computed, expected, match) plus aggregate helpers.
+    """Rows of value cells, each ending in a match flag, under named columns.
 
-    When ``match`` is omitted the row passes iff the two value strings are
-    equal, so exact arithmetic shows up as exact text equality.
+    The last column names the flag. :meth:`emit` prints the table as CSV
+    (the flag as ``yes``/``no``) to stdout and ``k/n rows match`` to stderr.
     """
 
-    def __init__(self, columns=("n", "computed", "formula", "match")):
+    def __init__(self, columns):
         self.columns = tuple(columns)
-        self.rows: list[ReportRow] = []
+        self.rows: list[tuple[tuple[str, ...], bool]] = []
 
-    def add(self, index, computed, expected, match=None) -> bool:
-        computed = str(computed)
-        expected = str(expected)
-        if match is None:
-            match = computed == expected
-        self.rows.append(ReportRow(index, computed, expected, bool(match)))
-        return bool(match)
+    def add(self, cells, match) -> None:
+        self.rows.append((tuple(str(c) for c in cells), bool(match)))
 
     @property
     def total(self) -> int:
         return len(self.rows)
 
     @property
-    def matches(self) -> int:
-        return sum(1 for r in self.rows if r.match)
-
-    @property
     def all_match(self) -> bool:
-        return self.matches == self.total
+        return all(ok for _, ok in self.rows)
 
-    def first_failure(self) -> ReportRow | None:
-        for r in self.rows:
-            if not r.match:
-                return r
-        return None
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.all_match else 1
-
-    def to_csv(self) -> str:
+    def emit(self) -> int:
+        """Print the table and its summary; exit status 0 if every row matched."""
         lines = [",".join(self.columns)]
-        for r in self.rows:
-            flag = "yes" if r.match else "no"
-            lines.append(f"{r.index},{r.computed},{r.expected},{flag}")
-        return "\n".join(lines)
-
-    def summary(self) -> str:
-        return f"{self.matches}/{self.total} rows match"
+        for cells, ok in self.rows:
+            lines.append(",".join((*cells, "yes" if ok else "no")))
+        print("\n".join(lines))
+        matches = sum(ok for _, ok in self.rows)
+        print(f"{matches}/{self.total} rows match", file=sys.stderr)
+        return 0 if matches == self.total else 1

@@ -18,7 +18,6 @@ from .gaussian import (
     I,
     GaussianRational,
     as_gaussian,
-    format_gaussian,
     pow_i,
 )
 from .linalg import DenseMatrix, bareiss_leading_minors, det_bareiss, det_field
@@ -168,13 +167,6 @@ class SeriesTruncation:
             for n in range(exp, self.order + 1):
                 out[n] = out[n] + c * self._coeffs[n - exp]
         return SeriesTruncation(out)
-
-    def to_index_csv(self, first_index: int = 0) -> str:
-        """CSV table "index,value", one row per known coefficient."""
-        lines = ["index,value"]
-        for n in range(first_index, self.order + 1):
-            lines.append(f"{n},{format_gaussian(self._coeffs[n])}")
-        return "\n".join(lines)
 
 
 def series_product(sigma: SignSequence | None, order: int) -> SeriesTruncation:

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: cofactor
 determinants instead of elimination, reflection-built folding sequences
 instead of the index recursion, brute splitting sums instead of the
-convolution presentation.
+convolution presentation, and generator values on every word pair up to a
+length instead of the orbits that ``minimize`` and ``observation_kernel``
+compute.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from recqi import (
     SpanBasis,
     WordPair,
     evaluate,
+    kernel_basis,
 )
 
 UNIT_POOL = (
@@ -136,3 +139,62 @@ def spans_equal(vectors_a, vectors_b, length) -> bool:
     return all(sa.contains(v) for v in vectors_b) and all(
         sb.contains(v) for v in vectors_a
     )
+
+
+def restriction_levels(pres: Presentation):
+    """Generator-value vectors of all word pairs, one list per length 0, 1, ...
+
+    The vectors of length L + 1 are the shifts of those of length L: entry j
+    of the shift of v by (s, t) is sum_k shift(s, t)[k, j] * v[k].
+    """
+    d = pres.dim
+    columns = [
+        [[(k, m[k, j]) for k in range(d) if m[k, j]] for j in range(d)]
+        for _, m in pres.shift_items()
+    ]
+    level = [list(pres.init)]
+    while True:
+        yield level
+        level = [
+            [sum((w * v[k] for k, w in col if v[k]), ZERO) for col in cols]
+            for v in level
+            for cols in columns
+        ]
+
+
+def restriction_kernel(pres: Presentation, depth: int) -> list:
+    """Generator combinations vanishing on every pair of length <= depth.
+
+    Brute enumeration; agrees with ``observation_kernel`` once the
+    restriction dimensions saturate.
+    """
+    if pres.dim == 0:
+        return []
+    span = SpanBasis(pres.dim)
+    for _, level in zip(range(depth + 1), restriction_levels(pres)):
+        for vec in level:
+            span.add(vec)
+    return kernel_basis(DenseMatrix(span.dim, pres.dim, sum(span.vectors(), [])))
+
+
+def saturation_level(pres: Presentation, cap: int) -> int | None:
+    """Smallest N with equal generator-restriction dimension at N and N + 1.
+
+    The dimension is the rank of the matrix whose rows are generators and
+    whose columns are all word pairs of length <= N. Returns None when no
+    level at or below the cap qualifies.
+    """
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    if pres.dim == 0:
+        return 0
+    span = SpanBasis(pres.dim)
+    ranks = []
+    for length, level in enumerate(restriction_levels(pres)):
+        for vec in level:
+            span.add(vec)
+        ranks.append(span.dim)
+        if length > 0 and ranks[-2] == ranks[-1]:
+            return length - 1
+        if length == cap + 1:
+            return None

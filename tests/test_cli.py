@@ -1,13 +1,20 @@
 """End-to-end command tests: exit codes, table contents, file outputs."""
 
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from recqi import Presentation, builtin, same_function
+from recqi import DenseMatrix, Presentation, builtin, same_function
+from recqi import cli
 from recqi.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +54,44 @@ def test_verify_det_rejects_bad_arguments(capsys):
     code, out, err = run_cli(capsys, "verify-det", "--max-n", "3", "--sigma", "+x")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, lines, summary",
+    [
+        (
+            ["verify-det", "--max-n", "0"],
+            ["n,det_order_n_plus_1,folding_product,match", "0,1,1,yes"],
+            "1/1 rows match",
+        ),
+        (
+            ["beta-hankel", "--max-order", "0"],
+            ["order,beta_det,expected,match"],
+            "0/0 rows match",
+        ),
+        (
+            ["gamma-hankel", "--max-order", "0"],
+            ["order,gamma_det,expected,match"],
+            "0/0 rows match",
+        ),
+        (
+            ["jfraction", "--count", "0"],
+            ["n,u_computed,u_formula,v_computed,v_formula,match", "0,1i,1i,,,yes"],
+            "1/1 rows match",
+        ),
+        (
+            ["conjecture-check", "--trials", "0"],
+            ["trial,sigma,checked_n,match"],
+            "0/0 rows match",
+        ),
+    ],
+)
+def test_smallest_tables(capsys, argv, lines, summary):
+    # one row or none: the header, the summary and exit 0 still come out
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
+    assert err == summary + "\n"
 
 
 def test_verify_lu_table(capsys):
@@ -187,6 +232,45 @@ def test_unfold_to_file(tmp_path, capsys):
     assert text.splitlines()[0] == "1,1i,1i,-1"
 
 
+@pytest.mark.parametrize("depth", ["10", "1000000000"])
+def test_unfold_rejects_tables_over_the_cell_cap(capsys, depth):
+    # 4^10 cells would take minutes and gigabytes; the cap answers at once
+    code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:H", "--depth", depth)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "more than the cap of 262144" in err
+
+
+def test_unfold_cap_admits_depth_nine(capsys, monkeypatch):
+    # 2^9 x 2^9 cells is exactly the cap; a stub stands in for the table
+    monkeypatch.setattr(cli, "unfold", lambda pres, depth: DenseMatrix.zeros(1, 1))
+    code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:H", "--depth", "9")
+    assert code == 0
+    assert out == "0\n"
+
+
+def test_unfold_cap_counts_the_alphabets(capsys, tmp_path):
+    # p = 513, q = 1: 513 cells at depth 1, 513^2 > 4^9 at depth 2
+    data = {
+        "p": 513,
+        "q": 1,
+        "dim": 1,
+        "labels": ["a"],
+        "init": ["1"],
+        "shifts": {f"{s},0": [["1"]] for s in range(513)},
+    }
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "recmat", "unfold", str(wide), "--depth", "1")
+    assert code == 0
+    assert out == "1\n" * 513
+    code, out, err = run_cli(capsys, "recmat", "unfold", str(wide), "--depth", "2")
+    assert code == 2
+    assert out == ""
+    assert "513^2 x 1^2 cells, more than the cap of 262144" in err
+
+
 def test_binary_then_unary_pipeline(tmp_path, capsys):
     prod_path = tmp_path / "prod.json"
     min_path = tmp_path / "min.json"
@@ -312,11 +396,39 @@ def test_output_is_deterministic(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "recqi", "verify-det", "--max-n", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "n,det_order_n_plus_1,folding_product,match"
     assert "3/3 rows match" in result.stderr
+
+
+def readme_examples():
+    """One case per README code block that starts with ``$ recqi``: the
+    command, and as expected stdout the rest of the block."""
+    text = README.read_text(encoding="utf-8")
+    cases = []
+    for block in re.findall(r"^```\n(.*?)^```$", text, re.M | re.S):
+        command, _, stdout = block.partition("\n")
+        if command.startswith("$ recqi "):
+            argv = shlex.split(command[len("$ recqi ") :])
+            cases.append(pytest.param(argv, stdout, id=" ".join(argv)))
+    return cases
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_example(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+def test_readme_has_examples():
+    assert len(readme_examples()) >= 5

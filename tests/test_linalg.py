@@ -13,7 +13,6 @@ from recqi import (
     DegeneracyError,
     DenseMatrix,
     GaussianRational,
-    ParseError,
     SpanBasis,
     bareiss_leading_minors,
     det_bareiss,
@@ -21,7 +20,6 @@ from recqi import (
     inverse,
     kernel_basis,
     mat_mul,
-    mat_transpose,
     rank,
     rref,
     solve,
@@ -59,7 +57,7 @@ def test_arithmetic_and_transpose():
     assert mat_mul(a, b) == DenseMatrix.from_rows([[2, 1], [4, 3]])
     assert a @ b == mat_mul(a, b)
     assert (a + b) - b == a
-    assert mat_transpose(a) == DenseMatrix.from_rows([[1, 3], [2, 4]])
+    assert a.transpose() == DenseMatrix.from_rows([[1, 3], [2, 4]])
     assert a.scale(2) == a + a
     assert a.entrywise_product(b) == DenseMatrix.from_rows([[0, 2], [3, 0]])
     with pytest.raises(ValueError):
@@ -326,18 +324,13 @@ def test_shape_predicates():
     assert DenseMatrix.from_rows([[1, 0], [0, 2]]).diagonal() == ints(1, 2)
 
 
-def test_csv_round_trip():
+def test_to_csv():
     m = DenseMatrix.from_rows(
         [
             [ONE, GaussianRational(Fraction(-1, 2), Fraction(1, 3))],
             [I, ZERO],
         ]
     )
-    text = m.to_csv()
-    assert text.split("\n")[0] == "1,-1/2+1/3i"
-    assert DenseMatrix.from_csv(text) == m
-    assert DenseMatrix.from_csv("") == DenseMatrix(0, 0, ())
-    with pytest.raises(ParseError):
-        DenseMatrix.from_csv("1,2\n3")
-    with pytest.raises(ParseError):
-        DenseMatrix.from_csv("1,x")
+    assert m.to_csv() == "1,-1/2+1/3i\n1i,0"
+    assert DenseMatrix(0, 0, ()).to_csv() == ""
+    assert DenseMatrix(1, 0, ()).to_csv() == ""

@@ -31,16 +31,20 @@ from recqi import (
     rec_scale,
     rec_sum,
     rec_transpose,
-    restriction_kernel,
     same_function,
-    saturation_level,
     tau,
     unfold,
     word_pairs,
     word_to_index,
     zero_presentation,
 )
-from oracles import convolution_oracle, random_presentation, spans_equal
+from oracles import (
+    convolution_oracle,
+    random_presentation,
+    restriction_kernel,
+    saturation_level,
+    spans_equal,
+)
 
 
 H = builtin("H")

@@ -178,12 +178,6 @@ def test_series_truncation_behavior():
         s.mul_sparse([(-1, 1)])
 
 
-def test_to_index_csv():
-    s = SeriesTruncation([1, I, -ONE])
-    assert s.to_index_csv() == "index,value\n0,1\n1,1i\n2,-1"
-    assert s.to_index_csv(first_index=1) == "index,value\n1,1i\n2,-1"
-
-
 def test_difference_coefficients_closed_form():
     # beta_n = (c_n - c_(n-1)) / (i - 1), gamma_n = (c_n - c_(n-2)) / (i - 1)
     series = series_product(None, 200)
