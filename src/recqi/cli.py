@@ -180,6 +180,9 @@ def cmd_recmat_eval(args) -> int:
 
 # largest table `recmat unfold` builds: 4^9 cells is builtin:H at depth 9
 MAX_UNFOLD_CELLS = 4**9
+# most values `unfold` holds at once, a vector of dim generators per cell:
+# builtin:H (dim 2) still unfolds to depth 9, builtin:U (dim 12) to depth 8
+MAX_UNFOLD_VALUES = 4**10
 
 
 def cmd_recmat_unfold(args) -> int:
@@ -188,11 +191,16 @@ def cmd_recmat_unfold(args) -> int:
         raise ValueError("--depth must be nonnegative")
     # (p*q)^depth grows from p*q >= 2 on, and 2^bit_length already exceeds
     # the cap, so a bounded exponent decides the comparison for any depth
-    exponent = min(args.depth, MAX_UNFOLD_CELLS.bit_length())
-    if (pres.p * pres.q) ** exponent > MAX_UNFOLD_CELLS:
+    cells = (pres.p * pres.q) ** min(args.depth, MAX_UNFOLD_CELLS.bit_length())
+    if cells > MAX_UNFOLD_CELLS:
         raise ValueError(
             f"--depth {args.depth} unfolds {pres.p}^{args.depth} x"
             f" {pres.q}^{args.depth} cells, more than the cap of {MAX_UNFOLD_CELLS}"
+        )
+    if cells * max(pres.dim, 1) > MAX_UNFOLD_VALUES:
+        raise ValueError(
+            f"--depth {args.depth} unfolds {cells} cells x {pres.dim} generators,"
+            f" more than the cap of {MAX_UNFOLD_VALUES} values"
         )
     matrix = unfold(pres, args.depth)
     if args.format == "json":

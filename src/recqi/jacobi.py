@@ -4,9 +4,9 @@ A series c(x) = sum c_n x^n with nonvanishing Hankel determinants expands as
 
     c(x) = c_0 / (1 - u_0 x - v_1 x^2 / (1 - u_1 x - v_2 x^2 / ...))
 
-The coefficients come out of a quotient-difference style table built from
-mixed moments; a vanishing table pivot corresponds exactly to a vanishing
-Hankel determinant and raises :class:`DegeneracyError` naming its order.
+The coefficients come out of the same fraction-free Chebyshev recurrence
+that gives the leading Hankel minors (:mod:`recqi.linalg`); a vanishing
+minor raises :class:`DegeneracyError` naming its order.
 
 For the digit-sum moments i^tau(n) the coefficients follow closed forms:
 u_n = (-1)^n * i, and v_n obeys a base-2 self-similar recursion starting
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .errors import DegeneracyError
 from .gaussian import ZERO, ONE, I, GaussianRational, as_gaussian, pow_i
+from .linalg import common_denominator, hankel_recurrence
 from .thuemorse import SeriesTruncation
 
 
@@ -62,19 +63,19 @@ class JFraction:
         return f"JFraction(depth={self.depth})"
 
 
-def jfraction_from_moments(moments, depth: int, check: bool = True) -> JFraction:
+def jfraction_from_moments(moments, depth: int) -> JFraction:
     """Extract u_0..u_(depth-1), v_1..v_depth from 2*depth + 1 moments.
 
-    The table: row 0 holds the moments, and
+    With D(k) the order-k Hankel minor and T_k(k+1) the entry the Chebyshev
+    recurrence of :func:`~recqi.linalg.hankel_recurrence` reads next to it,
 
-        s[k][l] = s[k-1][l+1] - u_(k-1) s[k-1][l] - v_(k-1) s[k-2][l]
+        u_k = T_k(k+1)/D(k+1) - T_(k-1)(k)/D(k),  v_k = D(k+1) D(k-1) / D(k)^2.
 
-    with u_k = s[k][k+1]/s[k][k] - s[k-1][k]/s[k-1][k-1] and
-    v_k = s[k][k]/s[k-1][k-1]. A zero pivot s[k][k] means the order-(k+1)
-    Hankel determinant vanishes: DegeneracyError(level=k+1).
-
-    With check=True the result is re-expanded and compared against every
-    supplied moment through index 2*depth.
+    Rational moments are first multiplied by their common denominator L,
+    which leaves u and v unchanged. A vanishing D(k), k <= depth + 1, raises
+    DegeneracyError(level=k). The result is re-expanded through continued-
+    fraction convergents and compared against every moment through index
+    2*depth; that match fixes u and v uniquely, so it checks each of them.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -84,97 +85,54 @@ def jfraction_from_moments(moments, depth: int, check: bool = True) -> JFraction
     c = c[: 2 * depth + 1]
     if depth == 0:
         return JFraction((), ())
-    if not c[0]:
-        raise DegeneracyError("leading moment vanishes", level=1)
-    m = depth
-    u: list[GaussianRational] = [c[1] / c[0]]
-    v: list[GaussianRational] = []
-    rows = [c]  # rows[k][l] is s[k][l]; dead slots stay at whatever they held
-    for k in range(1, m + 1):
-        prev = rows[k - 1]
-        row = [ZERO] * (2 * m + 1)
-        vk_prev = v[k - 2] if k >= 2 else None
-        for l in range(k, 2 * m - k + 1):
-            val = prev[l + 1] - u[k - 1] * prev[l]
-            if vk_prev is not None:
-                val = val - vk_prev * rows[k - 2][l]
-            row[l] = val
-        rows.append(row)
-        pivot = row[k]
-        if not pivot:
-            raise DegeneracyError(
-                f"Hankel determinant of order {k + 1} vanishes", level=k + 1
-            )
-        v.append(pivot / prev[k - 1])
-        if k <= m - 1:
-            u.append(row[k + 1] / pivot - prev[k] / prev[k - 1])
+    scale = common_denominator(c)
+    minors, upper = hankel_recurrence(c if scale == 1 else [x * scale for x in c])
+    ratios = [ZERO] + [t / d for t, d in zip(upper, minors[1:])]
+    u = [b - a for a, b in zip(ratios, ratios[1:])]
+    v = [
+        minors[k + 1] * minors[k - 1] / (minors[k] * minors[k])
+        for k in range(1, depth + 1)
+    ]
     jf = JFraction(u, v)
-    if check:
-        expansion = jfraction_to_series(jf, c[0], 2 * m)
-        for n in range(2 * m + 1):
-            if expansion.coefficient(n) != c[n]:
-                raise ArithmeticError(
-                    f"re-expansion disagrees with moment {n}; extraction is broken"
-                )
+    expansion = jfraction_to_series(jf, c[0], 2 * depth)
+    if expansion.coefficients != tuple(c):
+        raise ArithmeticError("re-expansion disagrees with the moments")
     return jf
-
-
-def _poly_mul(a: list, b: list, cap: int) -> list:
-    out = [ZERO] * min(len(a) + len(b) - 1, cap + 1)
-    for i, x in enumerate(a):
-        if not x or i > cap:
-            continue
-        for j, y in enumerate(b):
-            if i + j > cap:
-                break
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else ZERO
-        y = b[k] if k < len(b) else ZERO
-        out.append(x - y)
-    return out
 
 
 def jfraction_to_series(jf: JFraction, c0, order: int) -> SeriesTruncation:
     """Taylor coefficients 0..order of the continued fraction times c0.
 
     The unknown tail below level `depth` is replaced by the constant 1,
-    which leaves every coefficient through x^(2*depth) untouched. Computed
-    through numerator/denominator convergent polynomials and one series
-    inversion, all exact.
+    which leaves every coefficient through x^(2*depth) untouched. The
+    convergent num/den is built from the bottom level up, each level by
+
+        num' = den,  den' = den - u_k x den - v_(k+1) x^2 num,
+
+    and expanded by one exact power-series division (den has constant 1).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     c0 = as_gaussian(c0)
-    m = jf.depth
-    num = [ONE]
-    den = [ONE]
-    for k in range(m - 1, -1, -1):
-        # T_k = den_next / (den_next (1 - u_k x) - v_(k+1) x^2 num_next)
-        shifted = _poly_mul(den, [ZERO, jf.u_coeff(k)], order)
-        tail = _poly_mul(num, [ZERO, ZERO, jf.v_coeff(k + 1)], order)
-        new_den = _poly_sub(_poly_sub(den, shifted), tail)
-        num = den
-        den = new_den
-    # invert den (constant term 1) to the requested order
-    inv = [ONE] + [ZERO] * order
-    for n in range(1, order + 1):
-        acc = ZERO
-        for j in range(1, min(n, len(den) - 1) + 1):
-            dj = den[j]
-            if dj:
-                acc = acc + dj * inv[n - j]
-        inv[n] = -acc
-    series = _poly_mul(num, inv, order)
-    series.extend([ZERO] * (order + 1 - len(series)))
-    return SeriesTruncation([c0 * x for x in series[: order + 1]])
+    num = [ONE] + [ZERO] * order
+    den = list(num)
+    for k in range(jf.depth - 1, -1, -1):
+        u, v = jf.u_coeff(k), jf.v_coeff(k + 1)
+        nxt = list(den)
+        for j in range(order):
+            if den[j]:
+                nxt[j + 1] = nxt[j + 1] - u * den[j]
+            if num[j] and j + 2 <= order:
+                nxt[j + 2] = nxt[j + 2] - v * num[j]
+        num, den = den, nxt
+    series = []
+    for n in range(order + 1):
+        acc = num[n]
+        for j in range(1, n + 1):
+            if den[j]:
+                acc = acc - den[j] * series[n - j]
+        series.append(acc)
+    return SeriesTruncation([c0 * x for x in series])
 
 
 def u_formula(n: int) -> GaussianRational:

@@ -5,11 +5,15 @@ field elimination (any Gaussian-rational matrix) and fraction-free Bareiss
 elimination (Gaussian-integer matrices, big-int kernel, no rational blowup).
 All leading principal minors of a Gaussian-integer Hankel matrix come from an
 O(n^2) fraction-free Chebyshev recurrence instead, whose rows are the pivot
-rows the elimination would produce. Pivoting always takes the first nonzero
-candidate, so every result is bit-reproducible.
+rows the elimination would produce; the same pass gives the J-fraction
+coefficients of :mod:`recqi.jacobi`. Rational input takes these Z[i] routes
+after clearing one common denominator. Pivoting always takes the first
+nonzero candidate, so every result is bit-reproducible.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import DegeneracyError
 from .gaussian import (
@@ -436,8 +440,19 @@ def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
         raise ValueError("determinant of a non-square matrix")
     values = _hankel_values(m)
     if values is not None:
-        return _hankel_minors(*_int_parts(values))
+        return hankel_recurrence(values)[0]
     return _elimination_minors(m)
+
+
+def hankel_recurrence(values) -> tuple[list, list]:
+    """Minors D(0..n) and entries T_k(k+1), k <= n-2, of the Hankel matrix of
+    the Gaussian integers c(0..2n-2), by the recurrence of _hankel_minors."""
+    return _hankel_minors(*_int_parts(values))
+
+
+def common_denominator(values) -> int:
+    """Least common multiple of the denominators of all parts of ``values``."""
+    return math.lcm(*(q.denominator for x in values for q in (x.re, x.im)))
 
 
 def _hankel_values(m: DenseMatrix) -> list | None:
@@ -471,8 +486,8 @@ def _elimination_minors(m: DenseMatrix) -> list[GaussianRational]:
     return minors
 
 
-def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> list[GaussianRational]:
-    """Leading minors of the Hankel matrix of c(0..2n-2), given as int pairs.
+def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> tuple[list, list]:
+    """Leading minors and entries T_k(k+1) for c(0..2n-2), given as int pairs.
 
     T_k(l) is the determinant of rows 0..k and columns 0..k-1 and l of the
     infinite Hankel matrix: the pivot-row entry in column l after k Bareiss
@@ -486,13 +501,15 @@ def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> list[GaussianRationa
     gives each row from the two before, for k+1 <= l <= 2n-3-k. Every T is
     a minor of a Gaussian-integer matrix, so the division is exact in Z[i];
     it is done as a product with conj(D(k)^2), folded into the three row
-    coefficients, and two integer floor divisions by |D(k)|^4.
+    coefficients, and two integer floor divisions by |D(k)|^4. Returns the
+    minors D(0..n) and the entries T_k(k+1) the recurrence reads, k <= n-2.
     """
     size = len(cur_re)
     n = (size + 1) // 2
     prev_re = prev_im = [0] * size
     dr, di = 1, 0
     minors = [ONE]
+    upper = []
     for k in range(n):
         ar, ai = cur_re[k], cur_im[k]
         if not (ar or ai):
@@ -504,6 +521,7 @@ def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> list[GaussianRationa
         nrm = sr * sr + si * si
         # a = D(k+1) D(k), b = D(k) T_k(k+1) - D(k+1) T_{k-1}(k), c = D(k+1)^2
         xr, xi = cur_re[k + 1], cur_im[k + 1]
+        upper.append(GaussianRational(xr, xi))
         zr, zi = prev_re[k], prev_im[k]
         tr, ti = ar * dr - ai * di, ar * di + ai * dr
         ur = dr * xr - di * xi - ar * zr + ai * zi
@@ -526,7 +544,7 @@ def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> list[GaussianRationa
             ) // nrm
         prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, nxt_re, nxt_im
         dr, di = ar, ai
-    return minors
+    return minors, upper
 
 
 def _vanishing_minor(minors: list) -> DegeneracyError:

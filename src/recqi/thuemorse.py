@@ -20,7 +20,7 @@ from .gaussian import (
     as_gaussian,
     pow_i,
 )
-from .linalg import DenseMatrix, bareiss_leading_minors, det_bareiss, det_field
+from .linalg import DenseMatrix, bareiss_leading_minors, common_denominator, det_bareiss
 
 
 def tau(n: int) -> int:
@@ -151,23 +151,6 @@ class SeriesTruncation:
     def __repr__(self):
         return f"SeriesTruncation(order={self.order})"
 
-    def scale(self, factor) -> "SeriesTruncation":
-        f = as_gaussian(factor)
-        return SeriesTruncation([f * c for c in self._coeffs])
-
-    def mul_sparse(self, terms) -> "SeriesTruncation":
-        """Multiply by a sparse polynomial given as (exponent, coeff) pairs."""
-        out = [ZERO] * (self.order + 1)
-        for exp, coeff in terms:
-            c = as_gaussian(coeff)
-            if exp < 0:
-                raise ValueError("negative exponent")
-            if not c:
-                continue
-            for n in range(exp, self.order + 1):
-                out[n] = out[n] + c * self._coeffs[n - exp]
-        return SeriesTruncation(out)
-
 
 def series_product(sigma: SignSequence | None, order: int) -> SeriesTruncation:
     """Truncation of prod_{2^k <= order} (1 + sigma[k]*i*x^(2^k)).
@@ -194,22 +177,24 @@ def series_product(sigma: SignSequence | None, order: int) -> SeriesTruncation:
 _INV_I_MINUS_ONE = ONE / (I - ONE)  # -1/2 - 1/2 i
 
 
+def _difference(order: int, sigma: SignSequence | None, lag: int) -> SeriesTruncation:
+    # (c_n - c_(n-lag)) / (i - 1), with c_n alone below the lag
+    c = series_product(sigma, order).coefficients
+    diff = [x - c[n - lag] if n >= lag else x for n, x in enumerate(c)]
+    return SeriesTruncation([x * _INV_I_MINUS_ONE for x in diff])
+
+
 def beta_coeffs(order: int, sigma: SignSequence | None = None) -> SeriesTruncation:
     """First difference of the product series, divided by (i - 1).
 
-    beta_n = (c_n - c_(n-1)) / (i - 1), computed by multiplying the series
-    by (1 - x); index 0 carries c_0 / (i - 1).
+    beta_n = (c_n - c_(n-1)) / (i - 1); index 0 carries c_0 / (i - 1).
     """
-    return series_product(sigma, order).mul_sparse([(0, ONE), (1, -ONE)]).scale(
-        _INV_I_MINUS_ONE
-    )
+    return _difference(order, sigma, 1)
 
 
 def gamma_coeffs(order: int, sigma: SignSequence | None = None) -> SeriesTruncation:
     """Second-step difference: gamma_n = (c_n - c_(n-2)) / (i - 1)."""
-    return series_product(sigma, order).mul_sparse([(0, ONE), (2, -ONE)]).scale(
-        _INV_I_MINUS_ONE
-    )
+    return _difference(order, sigma, 2)
 
 
 def moment(n: int) -> GaussianRational:
@@ -235,25 +220,25 @@ def hankel_det_table(
 ) -> list[GaussianRational]:
     """[det of order 0, ..., det of order max_order] Hankel determinants.
 
-    Gaussian-integer sequences take the one-pass leading-minor route (every
-    determinant at once); if a leading minor vanishes, the orders from there
-    up get one fraction-free determinant each. Sequences with rational
-    values get one field-elimination determinant per order.
+    One pass of the leading-minor recurrence gives every determinant at
+    once. Rational values c are first multiplied by their common
+    denominator L (1 for Gaussian integers) and det_k(L*c) = L^k det_k(c)
+    is divided back out. If a leading minor vanishes, the orders from there
+    up get one fraction-free determinant each, of L*c as well.
     """
     h = hankel(seq, offset, max_order)
     n = max_order
     if n == 0:
         return [ONE]
     # the first row and the last column hold the 2n-1 sequence values
-    values = h.entries[:n] + h.entries[2 * n - 1 :: n]
-    integral = all(x.is_gaussian_integer for x in values)
-    dets = [ONE]
-    if integral:
-        try:
-            return bareiss_leading_minors(h)
-        except DegeneracyError as exc:
-            dets = exc.minors
-    det = det_bareiss if integral else det_field
-    for k in range(len(dets), n + 1):
-        dets.append(det(hankel(seq, offset, k)))
-    return dets
+    scale = common_denominator(h.entries[:n] + h.entries[2 * n - 1 :: n])
+    try:
+        dets = bareiss_leading_minors(h if scale == 1 else h.scale(scale))
+    except DegeneracyError as exc:
+        dets = exc.minors
+        for k in range(len(dets), n + 1):
+            block = hankel(seq, offset, k)
+            dets.append(det_bareiss(block if scale == 1 else block.scale(scale)))
+    if scale == 1:
+        return dets
+    return [d / scale**k for k, d in enumerate(dets)]

@@ -271,6 +271,41 @@ def test_unfold_cap_counts_the_alphabets(capsys, tmp_path):
     assert "513^2 x 1^2 cells, more than the cap of 262144" in err
 
 
+def test_unfold_cap_counts_the_generators(capsys, tmp_path):
+    # 64 identity-shifted generators: 4^8 cells hold 4^11 values, over 4^10
+    eye = [["1" if r == c else "0" for c in range(64)] for r in range(64)]
+    data = {
+        "p": 2,
+        "q": 2,
+        "dim": 64,
+        "labels": [f"g{k}" for k in range(64)],
+        "init": ["1"] * 64,
+        "shifts": {f"{s},{t}": eye for s in range(2) for t in range(2)},
+    }
+    tall = tmp_path / "tall.json"
+    tall.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "recmat", "unfold", str(tall), "--depth", "8")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --depth 8 unfolds 65536 cells x 64 generators,"
+        " more than the cap of 1048576 values\n"
+    )
+    code, out, err = run_cli(capsys, "recmat", "unfold", str(tall), "--depth", "2")
+    assert code == 0
+    assert out == "1,1,1,1\n" * 4
+
+
+def test_unfold_value_cap_admits_the_builtins(capsys, monkeypatch):
+    # builtin:U has 12 generators: 4^8 cells fit the value cap, 4^9 do not
+    monkeypatch.setattr(cli, "unfold", lambda pres, depth: DenseMatrix.zeros(1, 1))
+    code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:U", "--depth", "8")
+    assert code == 0
+    code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:U", "--depth", "9")
+    assert code == 2
+    assert "more than the cap of 1048576 values" in err
+
+
 def test_binary_then_unary_pipeline(tmp_path, capsys):
     prod_path = tmp_path / "prod.json"
     min_path = tmp_path / "min.json"

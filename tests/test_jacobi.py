@@ -1,6 +1,7 @@
 """Continued-fraction coefficient extraction and its closed forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,8 @@ from recqi import (
     GaussianRational,
     I,
     JFraction,
-    hankel_det_table,
+    det_field,
+    hankel,
     hankel_ratio_check,
     jfraction_from_moments,
     jfraction_to_series,
@@ -20,6 +22,7 @@ from recqi import (
     u_formula,
     v_formula,
 )
+from recqi import linalg
 from oracles import UNIT_POOL
 
 
@@ -89,7 +92,7 @@ def test_extraction_input_contracts():
 def test_reexpansion_reproduces_moments():
     depth = 24
     ms = moment_sequence(2 * depth + 1)
-    jf = jfraction_from_moments(ms, depth, check=False)
+    jf = jfraction_from_moments(ms, depth)
     series = jfraction_to_series(jf, ms[0], 2 * depth)
     for n in range(2 * depth + 1):
         assert series.coefficient(n) == ms[n]
@@ -102,7 +105,7 @@ def test_reexpansion_on_random_nondegenerate_sequences():
         depth = rng.randint(1, 6)
         ms = [rng.choice(UNIT_POOL) for _ in range(2 * depth + 1)]
         try:
-            jf = jfraction_from_moments(ms, depth, check=False)
+            jf = jfraction_from_moments(ms, depth)
         except DegeneracyError:
             continue
         trials += 1
@@ -113,7 +116,7 @@ def test_reexpansion_on_random_nondegenerate_sequences():
 
 def test_builtin_check_flag():
     # the self-check re-expands and compares; it must accept the moments
-    jf = jfraction_from_moments(moment_sequence(33), 16, check=True)
+    jf = jfraction_from_moments(moment_sequence(33), 16)
     assert jf.depth == 16
 
 
@@ -146,13 +149,51 @@ def test_v_self_similarity():
 
 
 def test_hankel_ratio_identity():
+    # the dets come from the elimination, not the recurrence that gives v
     depth = 32
     jf = jfraction_from_moments(moment_sequence(2 * depth + 1), depth)
-    dets = hankel_det_table(moment, 0, depth + 1)
+    dets = linalg._elimination_minors(hankel(moment, 0, depth + 1))
     pairs = hankel_ratio_check(dets, jf)
     assert len(pairs) == depth
     for v_coeff, ratio in pairs:
         assert v_coeff == ratio
+
+
+def test_extraction_ignores_a_common_factor():
+    # c -> a*c changes c_0 only, so u and v of rational moments are those
+    # of the Gaussian-integer moments they scale
+    ms = moment_sequence(41)
+    jf = jfraction_from_moments(ms, 20)
+    third = GaussianRational(Fraction(1, 3))
+    assert jfraction_from_moments([m * third for m in ms], 20) == jf
+    factor = GaussianRational(Fraction(2, 5), Fraction(-1, 7))
+    assert jfraction_from_moments([m * factor for m in ms], 20) == jf
+
+
+def test_extraction_of_random_rational_moments():
+    rng = random.Random(3003)
+    trials = 0
+    while trials < 20:
+        depth = rng.randint(1, 6)
+        ms = [
+            GaussianRational(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+                Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+            )
+            for _ in range(2 * depth + 1)
+        ]
+        try:
+            jf = jfraction_from_moments(ms, depth)
+        except DegeneracyError as exc:
+            assert not det_field(hankel(ms.__getitem__, 0, exc.level))
+            continue
+        trials += 1
+        assert jfraction_from_moments([m * 6 for m in ms], depth) == jf
+        dets = [det_field(hankel(ms.__getitem__, 0, k)) for k in range(depth + 2)]
+        for v_coeff, ratio in hankel_ratio_check(dets, jf):
+            assert v_coeff == ratio
+        series = jfraction_to_series(jf, ms[0], 2 * depth)
+        assert series.coefficients == tuple(ms)
 
 
 def test_hankel_ratio_degenerate_table():
