@@ -1,7 +1,9 @@
 """Dense exact linear algebra over Q(i).
 
-Row reduction, rank, kernels, and two independent determinant routes: generic
-field elimination (any Gaussian-rational matrix) and fraction-free Bareiss
+One field elimination, the echelon basis :class:`SpanBasis`, gives span
+membership, the reduced row echelon form and kernels. Determinants have two
+independent routes: plain field elimination (:func:`det_field`, any
+Gaussian-rational matrix, the tests' reference) and fraction-free Bareiss
 elimination (Gaussian-integer matrices, big-int kernel, no rational blowup).
 All leading principal minors of a Gaussian-integer Hankel matrix come from an
 O(n^2) fraction-free Chebyshev recurrence instead, whose rows are the pivot
@@ -13,6 +15,7 @@ nonzero candidate, so every result is bit-reproducible.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from .errors import DegeneracyError
@@ -171,13 +174,7 @@ class DenseMatrix:
 
     def to_csv(self) -> str:
         """One line per row, cells in canonical Gaussian form."""
-        lines = []
-        for r in range(self._rows):
-            base = r * self._cols
-            lines.append(
-                ",".join(format_gaussian(self._e[base + c]) for c in range(self._cols))
-            )
-        return "\n".join(lines)
+        return "\n".join(",".join(map(format_gaussian, row)) for row in self.to_lists())
 
 
 def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -202,43 +199,23 @@ def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form: (R, rank, pivot_columns).
 
-    Returns (R, rank, pivot_columns). Pivots are the first nonzero entry in
-    each column scan, normalized to 1, and eliminated above and below.
+    The rows of m go into a :class:`SpanBasis`, which stores them in echelon
+    form with unit pivots. Adding those rows again, last pivot first, to a
+    second basis reduces each against the rows below it, which clears every
+    entry above a pivot; zero rows pad R to the shape of m. The RREF of a
+    matrix is unique, so the order of elimination does not show in R.
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_lists()
-    pivots = []
-    pr = 0
-    for c in range(cols):
-        pivot_row = None
-        for r in range(pr, rows):
-            if a[r][c]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        pivot = a[pr][c]
-        if pivot != ONE:
-            inv = ONE / pivot
-            a[pr] = [x * inv for x in a[pr]]
-        prow = a[pr]
-        for r in range(rows):
-            if r != pr and a[r][c]:
-                f = a[r][c]
-                arow = a[r]
-                a[r] = [x - f * y for x, y in zip(arow, prow)]
-        pivots.append(c)
-        pr += 1
-        if pr == rows:
-            break
-    return DenseMatrix.from_rows(a) if a else DenseMatrix(0, cols, ()), pr, tuple(pivots)
-
-
-def rank(m: DenseMatrix) -> int:
-    return rref(m)[1]
+    echelon = SpanBasis(m.cols)
+    for r in range(m.rows):
+        echelon.add(m.row_list(r))
+    reduced = SpanBasis(m.cols)
+    for vec in reversed(echelon.vectors()):
+        reduced.add(vec)
+    entries = [x for vec in reduced.vectors() for x in vec]
+    entries += [ZERO] * (m.rows * m.cols - len(entries))
+    return DenseMatrix(m.rows, m.cols, entries), reduced.dim, reduced.pivots
 
 
 def kernel_basis(m: DenseMatrix) -> list[list[GaussianRational]]:
@@ -255,45 +232,6 @@ def kernel_basis(m: DenseMatrix) -> list[list[GaussianRational]]:
             v[p] = -r[k, free]
         basis.append(v)
     return basis
-
-
-def solve(a: DenseMatrix, b: list) -> list[GaussianRational] | None:
-    """One exact solution of a @ x = b, or None if inconsistent.
-
-    Free variables (if any) are set to zero.
-    """
-    b = [as_gaussian(x) for x in b]
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = DenseMatrix.from_rows(
-        [a.row_list(r) + [b[r]] for r in range(a.rows)]
-        if a.rows
-        else []
-    )
-    if a.rows == 0:
-        return [ZERO] * a.cols
-    r, rk, pivots = rref(aug)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [ZERO] * a.cols
-    for k, p in enumerate(pivots):
-        x[p] = r[k, a.cols]
-    return x
-
-
-def inverse(m: DenseMatrix) -> DenseMatrix:
-    """Exact inverse via row reduction of [m | I]; ValueError if singular."""
-    if not m.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    ident = DenseMatrix.identity(n)
-    aug = DenseMatrix.from_rows(
-        [m.row_list(r) + ident.row_list(r) for r in range(n)] if n else []
-    )
-    r, rk, pivots = rref(aug)
-    if rk < n or any(p >= n for p in pivots[:n]):
-        raise ValueError("matrix is singular")
-    return DenseMatrix.from_rows([r.row_list(k)[n:] for k in range(n)] if n else [])
 
 
 def det_field(m: DenseMatrix) -> GaussianRational:
@@ -358,9 +296,6 @@ def _bareiss_step(re, im, k, n, dr, di, pr, pi):
     # one elimination step: rows/cols beyond k updated in place, exact division
     # by the previous pivot (pr, pi) through its conjugate
     nrm = pr * pr + pi * pi
-    # skipping the division is only sound for a previous pivot of exactly 1;
-    # the other units (-1, i, -i) still need the conjugate rotation
-    unit_prev = pr == 1 and pi == 0
     rk_re = re[k]
     rk_im = im[k]
     for r in range(k + 1, n):
@@ -368,24 +303,15 @@ def _bareiss_step(re, im, k, n, dr, di, pr, pi):
         rr_im = im[r]
         ar = rr_re[k]
         ai = rr_im[k]
-        if unit_prev:
-            for c in range(k + 1, n):
-                br = rk_re[c]
-                bi = rk_im[c]
-                xr = rr_re[c]
-                xi = rr_im[c]
-                rr_re[c] = dr * xr - di * xi - ar * br + ai * bi
-                rr_im[c] = dr * xi + di * xr - ar * bi - ai * br
-        else:
-            for c in range(k + 1, n):
-                br = rk_re[c]
-                bi = rk_im[c]
-                xr = rr_re[c]
-                xi = rr_im[c]
-                tr = dr * xr - di * xi - ar * br + ai * bi
-                ti = dr * xi + di * xr - ar * bi - ai * br
-                rr_re[c] = (tr * pr + ti * pi) // nrm
-                rr_im[c] = (ti * pr - tr * pi) // nrm
+        for c in range(k + 1, n):
+            br = rk_re[c]
+            bi = rk_im[c]
+            xr = rr_re[c]
+            xi = rr_im[c]
+            tr = dr * xr - di * xi - ar * br + ai * bi
+            ti = dr * xi + di * xr - ar * bi - ai * br
+            rr_re[c] = (tr * pr + ti * pi) // nrm
+            rr_im[c] = (ti * pr - tr * pi) // nrm
         rr_re[k] = 0
         rr_im[k] = 0
 
@@ -574,6 +500,10 @@ class SpanBasis:
     def dim(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(pivot for pivot, _ in self._rows)
+
     def reduce(self, vec) -> list:
         v = [as_gaussian(x) for x in vec]
         if len(v) != self.length:
@@ -584,27 +514,19 @@ class SpanBasis:
                 v = [x - f * y for x, y in zip(v, row)]
         return v
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
     def add(self, vec):
         """Insert vec's residual; returns the stored vector, or None if dependent."""
         v = self.reduce(vec)
-        pivot = None
-        for idx, x in enumerate(v):
-            if x:
-                pivot = idx
-                break
+        pivot = next((idx for idx, x in enumerate(v) if x), None)
         if pivot is None:
             return None
         lead = v[pivot]
         if lead != ONE:
             inv = ONE / lead
             v = [x * inv for x in v]
-        pos = 0
-        while pos < len(self._rows) and self._rows[pos][0] < pivot:
-            pos += 1
-        self._rows.insert(pos, (pivot, v))
+        # v vanishes at every stored pivot, so pivots are distinct and the
+        # tuples compare by pivot alone
+        bisect.insort(self._rows, (pivot, v))
         return v
 
     def vectors(self) -> list:

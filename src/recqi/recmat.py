@@ -43,13 +43,6 @@ def index_to_word(index: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def word_to_index(word, base: int) -> int:
-    index = 0
-    for pos, letter in enumerate(word):
-        index += letter * base**pos
-    return index
-
-
 class WordPair:
     """Two equal-length words over alphabets {0..p-1} and {0..q-1}."""
 

@@ -106,13 +106,26 @@ def fold(k: int, sigma: SignSequence | None = None) -> int:
 
 
 def folding_product(n: int, sigma: SignSequence | None = None) -> GaussianRational:
-    """prod_{k=1}^{n} (1 + i*f(k)); the empty product (n = 0) is 1."""
+    """prod_{k=1}^{n} (1 + i*f(k)); the empty product (n = 0) is 1.
+
+    As 1 - i = -i(1 + i), it is (1 + i)^n (-i)^((n - S)/2) for the partial
+    sum S = f(1) + ... + f(n), and S(n) = f(2^j) + S(2^(j+1) - 1 - n) for
+    2^j <= n < 2^(j+1) by the reflection rule, one step per bit of n.
+    """
     if n < 0:
         raise ValueError("product length must be nonnegative")
-    re, im = 1, 0
-    for k in range(1, n + 1):
-        f = fold(k, sigma)
-        re, im = re - f * im, im + f * re
+    total = 0
+    k = n
+    while k:
+        j = k.bit_length() - 1
+        total += 1 if sigma is None else sigma[j + 1]
+        k = (2 << j) - 1 - k
+    # (1 + i)^2 = 2i
+    half, odd = divmod(n, 2)
+    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[(half - (n - total) // 2) % 4]
+    re, im = re << half, im << half
+    if odd:
+        re, im = re - im, re + im
     return GaussianRational(re, im)
 
 

@@ -1,7 +1,8 @@
 """Independently coded reference computations shared by the test modules.
 
 Everything here deliberately avoids the library's own algorithms: cofactor
-determinants instead of elimination, reflection-built folding sequences
+determinants instead of elimination, Gauss-Jordan row reduction instead of
+the echelon basis behind ``rref``, reflection-built folding sequences
 instead of the index recursion, brute splitting sums instead of the
 convolution presentation, and generator values on every word pair up to a
 length instead of the orbits that ``minimize`` and ``observation_kernel``
@@ -127,6 +128,33 @@ def folding_products_by_reflection(length: int, signs) -> list:
     return out
 
 
+def rref_by_pivoting(m: DenseMatrix) -> tuple[DenseMatrix, int, tuple[int, ...]]:
+    """Reduced row echelon form by Gauss-Jordan elimination on a row list.
+
+    Each column's pivot is the first nonzero entry at or below the current
+    row; it is swapped up, scaled to 1 and cleared above and below.
+    """
+    rows, cols = m.rows, m.cols
+    a = m.to_lists()
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        pivot_row = next((r for r in range(pr, rows) if a[r][c]), None)
+        if pivot_row is None:
+            continue
+        a[pr], a[pivot_row] = a[pivot_row], a[pr]
+        inv = ONE / a[pr][c]
+        a[pr] = [x * inv for x in a[pr]]
+        prow = a[pr]
+        for r in range(rows):
+            f = a[r][c]
+            if r != pr and f:
+                a[r] = [x - f * y for x, y in zip(a[r], prow)]
+        pivots.append(c)
+        pr += 1
+    return DenseMatrix(rows, cols, [x for row in a for x in row]), pr, tuple(pivots)
+
+
 def spans_equal(vectors_a, vectors_b, length) -> bool:
     sa = SpanBasis(length)
     for v in vectors_a:
@@ -136,8 +164,8 @@ def spans_equal(vectors_a, vectors_b, length) -> bool:
         sb.add(v)
     if sa.dim != sb.dim:
         return False
-    return all(sa.contains(v) for v in vectors_b) and all(
-        sb.contains(v) for v in vectors_a
+    return not any(x for v in vectors_b for x in sa.reduce(v)) and not any(
+        x for v in vectors_a for x in sb.reduce(v)
     )
 
 

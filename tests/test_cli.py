@@ -306,6 +306,51 @@ def test_unfold_value_cap_admits_the_builtins(capsys, monkeypatch):
     assert "more than the cap of 1048576 values" in err
 
 
+class TableBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of the series builders every capped table starts from; each
+    call raises TableBuilt, so no table is computed."""
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        raise TableBuilt
+
+    for name in ("series_product", "beta_coeffs", "gamma_coeffs"):
+        monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+SIZE_CAPS = [
+    ("verify-det", "--max-n", cli.MAX_N),
+    ("conjecture-check", "--max-n", cli.MAX_N),
+    ("conjecture-check", "--trials", cli.MAX_TRIALS),
+    ("conjecture-check", "--prefix-len", cli.MAX_PREFIX_LEN),
+    ("jfraction", "--count", cli.MAX_COUNT),
+    ("beta-hankel", "--max-order", cli.MAX_ORDER),
+    ("gamma-hankel", "--max-order", cli.MAX_ORDER),
+]
+
+
+@pytest.mark.parametrize("command, flag, cap", SIZE_CAPS)
+def test_size_cap_refuses_one_past_the_bound(capsys, builds, command, flag, cap):
+    code, out, err = run_cli(capsys, command, flag, str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {cap + 1} is more than the cap of {cap}\n"
+    assert builds == []
+
+
+@pytest.mark.parametrize("command, flag, cap", SIZE_CAPS)
+def test_size_cap_admits_the_bound(capsys, builds, command, flag, cap):
+    with pytest.raises(TableBuilt):
+        run_cli(capsys, command, flag, str(cap))
+    assert len(builds) == 1
+
+
 def test_binary_then_unary_pipeline(tmp_path, capsys):
     prod_path = tmp_path / "prod.json"
     min_path = tmp_path / "min.json"

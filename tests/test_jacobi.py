@@ -13,6 +13,7 @@ from recqi import (
     I,
     JFraction,
     det_field,
+    fold,
     hankel,
     hankel_ratio_check,
     jfraction_from_moments,
@@ -146,6 +147,20 @@ def test_v_self_similarity():
             assert v_formula(base + a) == v_formula(a)
         for a in range(half + 2, base):
             assert v_formula(base + a) == v_formula(a)
+
+
+def v_by_folding_rule(n):
+    """v_n = (1 + i f(n)) / (1 + i f(n - 1)) for n >= 2."""
+    return GaussianRational(1, fold(n)) / GaussianRational(1, fold(n - 1))
+
+
+def test_v_folding_rule():
+    # the rule is v_n = D(n-1) D(n+1) / D(n)^2 with D(k+1) the folding
+    # product of length k, so it stays a test: a jfraction table built on it
+    # would only repeat verify-det, where v_formula is a separate closed form
+    assert all(v_by_folding_rule(n) == v_formula(n) for n in range(2, 5000))
+    jf = jfraction_from_moments(moment_sequence(257), 128)
+    assert all(v_by_folding_rule(n) == jf.v_coeff(n) for n in range(2, 129))
 
 
 def test_hankel_ratio_identity():

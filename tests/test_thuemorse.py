@@ -129,6 +129,17 @@ def test_folding_product_against_gaussian_product_oracle():
         assert [folding_product(n, sigma) for n in range(301)] == expected
 
 
+def test_folding_product_against_running_product():
+    # prefixes of up to 12 signs reach every power 2^j <= 2048
+    for prefix in ("", "-", "+-+", "--+-+---", "-+-++--+-+--"):
+        sigma = SignSequence.from_string(prefix) if prefix else None
+        re, im = 1, 0
+        assert folding_product(0, sigma) == ONE
+        for n, f in enumerate(folding_by_reflection(2048, sigma), start=1):
+            re, im = re - f * im, im + f * re
+            assert folding_product(n, sigma) == GaussianRational(re, im)
+
+
 def test_series_product_examples():
     assert series_product(None, 0).coefficients == (ONE,)
     assert series_product(None, 3).coefficients == (ONE, I, I, -ONE)
