@@ -54,11 +54,16 @@ MAX_TRIALS = 1000
 MAX_PREFIX_LEN = 64
 MAX_COUNT = 1000
 MAX_ORDER = 128
+# beta_coeffs/gamma_coeffs build the series through offset + 2 * max_order
+MAX_OFFSET = 2**16
 # largest table `recmat unfold` builds: 4^9 cells is builtin:H at depth 9
 MAX_UNFOLD_CELLS = 4**9
 # most values `unfold` holds at once, a vector of dim generators per cell:
 # builtin:H (dim 2) still unfolds to depth 9, builtin:U (dim 12) to depth 8
 MAX_UNFOLD_VALUES = 4**10
+# largest generator count a binary `recmat` op builds, p * q shifts of
+# dim x dim entries; the largest builtin pair, convolve U U, gives 156
+MAX_RESULT_DIM = 256
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -152,6 +157,7 @@ def unit_det_report(
     if offset < 0:
         raise ValueError("--offset must be nonnegative")
     _check_cap("--max-order", max_order, MAX_ORDER)
+    _check_cap("--offset", offset, MAX_OFFSET)
     series = coeff_fn(offset + 2 * max_order)
     dets = hankel_det_table(series.coefficient, offset, max_order)
     report = VerificationReport(("order", label, "expected", "match"))
@@ -244,6 +250,13 @@ def cmd_recmat_binary(args) -> int:
     op = _BINARY_OPS[args.op]
     left = _load_presentation(args.left)
     right = _load_presentation(args.right)
+    a, b = left.dim, right.dim
+    dim = {"sum": a + b, "convolve": a * b + a}.get(args.op, a * b)
+    if dim > MAX_RESULT_DIM:
+        raise ValueError(
+            f"{args.op} of dims {a} and {b} has dim {dim},"
+            f" more than the cap of {MAX_RESULT_DIM}"
+        )
     _emit(op(left, right).to_json_text(), args.output)
     return 0
 

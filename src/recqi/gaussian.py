@@ -125,10 +125,6 @@ class GaussianRational:
         """re^2 + im^2, the multiplicative norm down to Q."""
         return self._re * self._re + self._im * self._im
 
-    @property
-    def is_gaussian_integer(self) -> bool:
-        return self._re.denominator == 1 and self._im.denominator == 1
-
     def __str__(self) -> str:
         return format_gaussian(self)
 

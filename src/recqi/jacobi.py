@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import DegeneracyError
 from .gaussian import ZERO, ONE, I, GaussianRational, as_gaussian, pow_i
-from .linalg import common_denominator, hankel_recurrence
+from .linalg import hankel_recurrence
 from .thuemorse import SeriesTruncation
 
 
@@ -71,11 +71,11 @@ def jfraction_from_moments(moments, depth: int) -> JFraction:
 
         u_k = T_k(k+1)/D(k+1) - T_(k-1)(k)/D(k),  v_k = D(k+1) D(k-1) / D(k)^2.
 
-    Rational moments are first multiplied by their common denominator L,
-    which leaves u and v unchanged. A vanishing D(k), k <= depth + 1, raises
-    DegeneracyError(level=k). The result is re-expanded through continued-
-    fraction convergents and compared against every moment through index
-    2*depth; that match fixes u and v uniquely, so it checks each of them.
+    The recurrence clears the denominators of rational moments itself. A
+    vanishing D(k), k <= depth + 1, raises DegeneracyError(level=k). The
+    result is re-expanded through continued-fraction convergents and
+    compared against every moment through index 2*depth; that match fixes
+    u and v uniquely, so it checks each of them.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -85,8 +85,7 @@ def jfraction_from_moments(moments, depth: int) -> JFraction:
     c = c[: 2 * depth + 1]
     if depth == 0:
         return JFraction((), ())
-    scale = common_denominator(c)
-    minors, upper = hankel_recurrence(c if scale == 1 else [x * scale for x in c])
+    minors, upper = hankel_recurrence(c)
     ratios = [ZERO] + [t / d for t, d in zip(upper, minors[1:])]
     u = [b - a for a, b in zip(ratios, ratios[1:])]
     v = [

@@ -4,13 +4,14 @@ One field elimination, the echelon basis :class:`SpanBasis`, gives span
 membership, the reduced row echelon form and kernels. Determinants have two
 independent routes: plain field elimination (:func:`det_field`, any
 Gaussian-rational matrix, the tests' reference) and fraction-free Bareiss
-elimination (Gaussian-integer matrices, big-int kernel, no rational blowup).
-All leading principal minors of a Gaussian-integer Hankel matrix come from an
-O(n^2) fraction-free Chebyshev recurrence instead, whose rows are the pivot
-rows the elimination would produce; the same pass gives the J-fraction
-coefficients of :mod:`recqi.jacobi`. Rational input takes these Z[i] routes
-after clearing one common denominator. Pivoting always takes the first
-nonzero candidate, so every result is bit-reproducible.
+elimination (big-int kernel, no rational blowup). All leading principal
+minors of a Hankel matrix come from an O(n^2) fraction-free Chebyshev
+recurrence instead, whose rows are the pivot rows the elimination would
+produce; the same pass gives the J-fraction coefficients of
+:mod:`recqi.jacobi`. The fraction-free routes take any Q(i) input: they run
+on L times it, L the least common multiple of its denominators, and divide
+an order-k minor by L^k, so callers never scale. Pivoting always takes the
+first nonzero candidate, so every result is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -269,27 +270,28 @@ def det_field(m: DenseMatrix) -> GaussianRational:
     return det if sign == 1 else -det
 
 
-def _int_parts(values) -> tuple[list[int], list[int]]:
-    re = []
-    im = []
-    for x in values:
-        if not x.is_gaussian_integer:
-            raise ValueError(
-                "fraction-free elimination requires Gaussian-integer entries"
-            )
-        re.append(x.re.numerator)
-        im.append(x.im.numerator)
-    return re, im
+def _int_parts(values) -> tuple[list[int], list[int], int]:
+    """Real and imaginary parts of L*x for each value x, and L, the least
+    common multiple of the denominators of all parts."""
+    re = [x.re for x in values]
+    im = [x.im for x in values]
+    scale = math.lcm(*{q.denominator for q in re}, *{q.denominator for q in im})
+    re = [q.numerator * (scale // q.denominator) for q in re]
+    im = [q.numerator * (scale // q.denominator) for q in im]
+    return re, im, scale
 
 
-def _as_int_pairs(m: DenseMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    re = []
-    im = []
-    for r in range(m.rows):
-        rrow, irow = _int_parts(m.row_list(r))
-        re.append(rrow)
-        im.append(irow)
-    return re, im
+def _as_int_pairs(m: DenseMatrix) -> tuple[list[list[int]], list[list[int]], int]:
+    re, im, scale = _int_parts(m.entries)
+    rows = [slice(r * m.cols, (r + 1) * m.cols) for r in range(m.rows)]
+    return [re[s] for s in rows], [im[s] for s in rows], scale
+
+
+def _divide_powers(values: list, scale: int, first: int = 0) -> list:
+    """values[k] / scale^(first + k); the list itself when scale is 1."""
+    if scale == 1:
+        return values
+    return [x / scale**k for k, x in enumerate(values, first)]
 
 
 def _bareiss_step(re, im, k, n, dr, di, pr, pi):
@@ -317,17 +319,18 @@ def _bareiss_step(re, im, k, n, dr, di, pr, pi):
 
 
 def det_bareiss(m: DenseMatrix) -> GaussianRational:
-    """Fraction-free determinant for Gaussian-integer matrices.
+    """Fraction-free determinant of a Q(i) matrix.
 
-    Row swaps are allowed (with sign tracking) so singular and generic inputs
-    are both fine; intermediate values stay in Z[i].
+    The elimination runs on L*m in Z[i], L the least common multiple of the
+    denominators, and det(L*m) is divided by L^n. Row swaps are allowed
+    (with sign tracking) so singular and generic inputs are both fine.
     """
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return ONE
-    re, im = _as_int_pairs(m)
+    re, im, scale = _as_int_pairs(m)
     sign = 1
     pr, pi = 1, 0
     for k in range(n - 1):
@@ -343,16 +346,18 @@ def det_bareiss(m: DenseMatrix) -> GaussianRational:
         dr, di = re[k][k], im[k][k]
         _bareiss_step(re, im, k, n, dr, di, pr, pi)
         pr, pi = dr, di
-    return GaussianRational(sign * re[n - 1][n - 1], sign * im[n - 1][n - 1])
+    det = GaussianRational(sign * re[n - 1][n - 1], sign * im[n - 1][n - 1])
+    return det if scale == 1 else det / scale**n
 
 
 def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
-    """All leading principal minors, fraction-free, in Z[i].
+    """All leading principal minors of a Q(i) matrix, fraction-free.
 
     Returns [det of 0x0, det of 1x1, ..., det of nxn]. Raises
     :class:`DegeneracyError` naming the order of the first vanishing minor,
     with the minors of the lower orders attached, since neither route can
-    continue past it; ValueError for entries outside Z[i].
+    continue past it. Both routes run in Z[i] on L*m, L the least common
+    multiple of the denominators, and divide the order-k minor by L^k.
 
     A Hankel input, entry (s, t) equal to c(s + t) for 2n-1 values c, takes
     the O(n^2) Chebyshev recurrence of :func:`_hankel_minors`, whose
@@ -372,13 +377,8 @@ def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
 
 def hankel_recurrence(values) -> tuple[list, list]:
     """Minors D(0..n) and entries T_k(k+1), k <= n-2, of the Hankel matrix of
-    the Gaussian integers c(0..2n-2), by the recurrence of _hankel_minors."""
+    the Q(i) values c(0..2n-2), by the recurrence of _hankel_minors."""
     return _hankel_minors(*_int_parts(values))
-
-
-def common_denominator(values) -> int:
-    """Least common multiple of the denominators of all parts of ``values``."""
-    return math.lcm(*(q.denominator for x in values for q in (x.re, x.im)))
 
 
 def _hankel_values(m: DenseMatrix) -> list | None:
@@ -397,23 +397,24 @@ def _hankel_values(m: DenseMatrix) -> list | None:
 
 
 def _elimination_minors(m: DenseMatrix) -> list[GaussianRational]:
-    re, im = _as_int_pairs(m)
+    re, im, scale = _as_int_pairs(m)
     n = m.rows
     minors = [ONE]
     pr, pi = 1, 0
     for k in range(n):
         dr, di = re[k][k], im[k][k]
         if dr == 0 and di == 0:
-            raise _vanishing_minor(minors)
+            raise _vanishing_minor(minors, scale)
         minors.append(GaussianRational(dr, di))
         if k < n - 1:
             _bareiss_step(re, im, k, n, dr, di, pr, pi)
         pr, pi = dr, di
-    return minors
+    return _divide_powers(minors, scale)
 
 
-def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> tuple[list, list]:
-    """Leading minors and entries T_k(k+1) for c(0..2n-2), given as int pairs.
+def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
+    """Leading minors and entries T_k(k+1) for c(0..2n-2), given as the int
+    pairs of L*c with L = scale.
 
     T_k(l) is the determinant of rows 0..k and columns 0..k-1 and l of the
     infinite Hankel matrix: the pivot-row entry in column l after k Bareiss
@@ -428,7 +429,8 @@ def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> tuple[list, list]:
     a minor of a Gaussian-integer matrix, so the division is exact in Z[i];
     it is done as a product with conj(D(k)^2), folded into the three row
     coefficients, and two integer floor divisions by |D(k)|^4. Returns the
-    minors D(0..n) and the entries T_k(k+1) the recurrence reads, k <= n-2.
+    minors D(0..n) and the entries T_k(k+1) the recurrence reads, k <= n-2,
+    of c itself: D(k) of L*c divided by L^k, T_k(k+1) by L^(k+1).
     """
     size = len(cur_re)
     n = (size + 1) // 2
@@ -439,7 +441,7 @@ def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> tuple[list, list]:
     for k in range(n):
         ar, ai = cur_re[k], cur_im[k]
         if not (ar or ai):
-            raise _vanishing_minor(minors)
+            raise _vanishing_minor(minors, scale)
         minors.append(GaussianRational(ar, ai))
         if k == n - 1:
             break
@@ -470,15 +472,15 @@ def _hankel_minors(cur_re: list[int], cur_im: list[int]) -> tuple[list, list]:
             ) // nrm
         prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, nxt_re, nxt_im
         dr, di = ar, ai
-    return minors, upper
+    return _divide_powers(minors, scale), _divide_powers(upper, scale, 1)
 
 
-def _vanishing_minor(minors: list) -> DegeneracyError:
+def _vanishing_minor(minors: list, scale: int) -> DegeneracyError:
     order = len(minors)
     return DegeneracyError(
         f"leading principal minor of order {order} vanishes",
         level=order,
-        minors=minors,
+        minors=_divide_powers(minors, scale),
     )
 
 

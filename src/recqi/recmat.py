@@ -286,25 +286,21 @@ def zero_presentation(p: int = 2, q: int = 2) -> Presentation:
 # -- evaluation and unfolding ---------------------------------------------
 
 
-def _column_actions(pres: Presentation) -> dict:
-    """shift (s,t) -> per-column nonzero entries [(k, value), ...].
-
-    Applying a shift to a coordinate vector v yields
-    out[j] = sum_k shift[k, j] * v[k]; precomputing columns skips zeros.
-    """
-    actions = {}
-    d = pres.dim
-    for (s, t), m in pres.shift_items():
-        e = m.entries
-        cols = []
-        for j in range(d):
-            col = [(k, e[k * d + j]) for k in range(d) if e[k * d + j]]
-            cols.append(col)
-        actions[(s, t)] = cols
-    return actions
+def _columns(m: DenseMatrix, transposed: bool = False) -> list:
+    """Nonzero entries [(k, m[k, j]), ...] of each column j of square m, or
+    with transposed, [(k, m[j, k]), ...], the columns of m transposed."""
+    d = m.rows
+    e = m.entries
+    step, stride = (1, d) if transposed else (d, 1)
+    return [
+        [(k, e[k * step + j * stride]) for k in range(d) if e[k * step + j * stride]]
+        for j in range(d)
+    ]
 
 
 def _apply_action(cols, vec):
+    """The one shift action: row vector vec times the matrix of _columns(m),
+    out[j] = sum_k m[k, j] * vec[k]; with transposed columns, m times vec."""
     out = []
     for col in cols:
         acc = ZERO
@@ -322,7 +318,7 @@ def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
         raise ValueError("word pair alphabets do not match the presentation")
     if pres.dim == 0:
         return ZERO
-    actions = _column_actions(pres)
+    actions = {key: _columns(m) for key, m in pres.shift_items()}
     vec = list(pres.init)
     for s, t in pair.letters():
         vec = _apply_action(actions[(s, t)], vec)
@@ -336,7 +332,7 @@ def unfold(pres: Presentation, depth: int) -> DenseMatrix:
     rows, cols = pres.p**depth, pres.q**depth
     if pres.dim == 0:
         return DenseMatrix.zeros(rows, cols)
-    actions = _column_actions(pres)
+    actions = {key: _columns(m) for key, m in pres.shift_items()}
     # level L is a p^L x q^L grid; cell (r, c) holds the vector of all
     # generator values at the pair whose words are the digits of r and c
     grid = [[list(pres.init)]]
@@ -525,21 +521,17 @@ def _dot(xs, ys) -> GaussianRational:
     return sum((x * y for x, y in zip(xs, ys) if y), ZERO)
 
 
-def _orbit_span(seed, matrices) -> SpanBasis:
-    """Span of seed and of M_1 ... M_k seed for every word over the matrices.
-
-    The reachable span takes the shifts; the observation span, the orbit of
-    the init row under right multiplication, takes their transposes.
-    """
-    d = len(seed)
-    row_sets = [[m.entries[r * d : (r + 1) * d] for r in range(d)] for m in matrices]
-    span = SpanBasis(d)
+def _orbit_span(seed, actions) -> SpanBasis:
+    """Span of seed and of its images under every word over the actions:
+    the reachable span takes transposed columns, the observation span (the
+    orbit of the init row) plain ones."""
+    span = SpanBasis(len(seed))
     first = span.add(seed)
     work = [] if first is None else [first]
     while work:
         vec = work.pop()
-        for rows in row_sets:
-            added = span.add([_dot(row, vec) for row in rows])
+        for cols in actions:
+            added = span.add(_apply_action(cols, vec))
             if added is not None:
                 work.append(added)
     return span
@@ -551,12 +543,9 @@ def observation_kernel(pres: Presentation) -> list:
     A generator combination lies here exactly when the combined function
     vanishes identically; computed from the observation orbit.
     """
-    if pres.dim == 0:
-        return []
-    obs = _orbit_span(list(pres.init), [m.transpose() for _, m in pres.shift_items()])
-    if obs.dim == 0:
-        return [list(row) for row in DenseMatrix.identity(pres.dim).to_lists()]
-    return kernel_basis(DenseMatrix.from_rows(obs.vectors()))
+    obs = _orbit_span(list(pres.init), [_columns(m) for _, m in pres.shift_items()])
+    rows = [x for vec in obs.vectors() for x in vec]
+    return kernel_basis(DenseMatrix(obs.dim, pres.dim, rows))
 
 
 def minimize(pres: Presentation) -> Presentation:
@@ -570,15 +559,13 @@ def minimize(pres: Presentation) -> Presentation:
     if d == 0:
         return zero_presentation(pres.p, pres.q)
     mats = pres.shift_items()
+    forward = [_columns(mat, transposed=True) for _, mat in mats]
     e0 = [ONE] + [ZERO] * (d - 1)
-    fwd = _orbit_span(e0, [mat for _, mat in mats]).vectors()
-    obs = _orbit_span(list(pres.init), [mat.transpose() for _, mat in mats])
+    fwd = _orbit_span(e0, forward).vectors()
+    obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats])
     # N = vectors of the forward span annihilated by every observation row
-    if obs.dim == 0:
-        null_coords = [list(row) for row in DenseMatrix.identity(len(fwd)).to_lists()]
-    else:
-        ov = [[_dot(o, v) for v in fwd] for o in obs.vectors()]
-        null_coords = kernel_basis(DenseMatrix.from_rows(ov))
+    ov = [_dot(o, v) for o in obs.vectors() for v in fwd]
+    null_coords = kernel_basis(DenseMatrix(obs.dim, len(fwd), ov))
     fwd_cols = list(zip(*fwd))
     null_vectors = [[_dot(col, coords) for col in fwd_cols] for coords in null_coords]
     m = len(fwd) - len(null_vectors)
@@ -600,10 +587,7 @@ def minimize(pres: Presentation) -> Presentation:
     basis = chosen + null_vectors
     cols = len(basis)
     # solve for all induced shift columns at once against the basis matrix
-    rhs = []
-    for _, mat in mats:
-        for u in chosen:
-            rhs.append([_dot(mat.row_list(r), u) for r in range(d)])
+    rhs = [_apply_action(action, u) for action in forward for u in chosen]
     aug_rows = []
     for r in range(d):
         row = [basis[j][r] for j in range(cols)]

@@ -20,7 +20,7 @@ from .gaussian import (
     as_gaussian,
     pow_i,
 )
-from .linalg import DenseMatrix, bareiss_leading_minors, common_denominator, det_bareiss
+from .linalg import DenseMatrix, bareiss_leading_minors, det_bareiss
 
 
 def tau(n: int) -> int:
@@ -234,24 +234,14 @@ def hankel_det_table(
     """[det of order 0, ..., det of order max_order] Hankel determinants.
 
     One pass of the leading-minor recurrence gives every determinant at
-    once. Rational values c are first multiplied by their common
-    denominator L (1 for Gaussian integers) and det_k(L*c) = L^k det_k(c)
-    is divided back out. If a leading minor vanishes, the orders from there
-    up get one fraction-free determinant each, of L*c as well.
+    once, for Gaussian-integer and rational values alike. If a leading
+    minor vanishes, the orders from there up get one fraction-free
+    determinant each.
     """
-    h = hankel(seq, offset, max_order)
-    n = max_order
-    if n == 0:
-        return [ONE]
-    # the first row and the last column hold the 2n-1 sequence values
-    scale = common_denominator(h.entries[:n] + h.entries[2 * n - 1 :: n])
     try:
-        dets = bareiss_leading_minors(h if scale == 1 else h.scale(scale))
+        return bareiss_leading_minors(hankel(seq, offset, max_order))
     except DegeneracyError as exc:
         dets = exc.minors
-        for k in range(len(dets), n + 1):
-            block = hankel(seq, offset, k)
-            dets.append(det_bareiss(block if scale == 1 else block.scale(scale)))
-    if scale == 1:
-        return dets
-    return [d / scale**k for k, d in enumerate(dets)]
+    for k in range(len(dets), max_order + 1):
+        dets.append(det_bareiss(hankel(seq, offset, k)))
+    return dets

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from recqi import DenseMatrix, Presentation, builtin, same_function
+from recqi import ONE, DenseMatrix, Presentation, builtin, same_function
 from recqi import cli
 from recqi.cli import main
 
@@ -333,12 +333,14 @@ SIZE_CAPS = [
     ("jfraction", "--count", cli.MAX_COUNT),
     ("beta-hankel", "--max-order", cli.MAX_ORDER),
     ("gamma-hankel", "--max-order", cli.MAX_ORDER),
+    ("beta-hankel --max-order 1", "--offset", cli.MAX_OFFSET),
+    ("gamma-hankel --max-order 1", "--offset", cli.MAX_OFFSET),
 ]
 
 
 @pytest.mark.parametrize("command, flag, cap", SIZE_CAPS)
 def test_size_cap_refuses_one_past_the_bound(capsys, builds, command, flag, cap):
-    code, out, err = run_cli(capsys, command, flag, str(cap + 1))
+    code, out, err = run_cli(capsys, *command.split(), flag, str(cap + 1))
     assert (code, out) == (2, "")
     assert err == f"error: {flag} {cap + 1} is more than the cap of {cap}\n"
     assert builds == []
@@ -347,8 +349,60 @@ def test_size_cap_refuses_one_past_the_bound(capsys, builds, command, flag, cap)
 @pytest.mark.parametrize("command, flag, cap", SIZE_CAPS)
 def test_size_cap_admits_the_bound(capsys, builds, command, flag, cap):
     with pytest.raises(TableBuilt):
-        run_cli(capsys, command, flag, str(cap))
+        run_cli(capsys, *command.split(), flag, str(cap))
     assert len(builds) == 1
+
+
+def write_presentation(path, dim):
+    # one letter each side, dim generators, identity shift
+    shifts = {(0, 0): DenseMatrix.identity(dim)}
+    path.write_text(Presentation(1, 1, [ONE] * dim, shifts).to_json_text())
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "op, a, b, dim",
+    [("sum", 128, 129, 257), ("convolve", 1, 256, 257), ("product", 16, 17, 272)],
+)
+def test_result_dim_cap_refuses_one_past_the_bound(
+    tmp_path, capsys, monkeypatch, op, a, b, dim
+):
+    built = []
+    monkeypatch.setitem(cli._BINARY_OPS, op, lambda *args: built.append(args))
+    left = write_presentation(tmp_path / "a.json", a)
+    right = write_presentation(tmp_path / "b.json", b)
+    code, out, err = run_cli(capsys, "recmat", op, left, right)
+    assert (code, out, built) == (2, "", [])
+    assert err == (
+        f"error: {op} of dims {a} and {b} has dim {dim},"
+        f" more than the cap of {cli.MAX_RESULT_DIM}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "op, a, b",
+    [("sum", 128, 128), ("convolve", 1, 255), ("product", 16, 16), ("hadamard", 16, 16)],
+)
+def test_result_dim_cap_admits_the_bound(tmp_path, capsys, monkeypatch, op, a, b):
+    built = []
+
+    def stub(left, right):
+        built.append((left.dim, right.dim))
+        return builtin("zero")
+
+    monkeypatch.setitem(cli._BINARY_OPS, op, stub)
+    left = write_presentation(tmp_path / "a.json", a)
+    right = write_presentation(tmp_path / "b.json", b)
+    code, out, err = run_cli(capsys, "recmat", op, left, right)
+    assert (code, err, built) == (0, "", [(a, b)])
+
+
+@pytest.mark.parametrize("op, dim", [("product", 144), ("convolve", 156)])
+def test_result_dim_cap_admits_the_builtins(capsys, op, dim):
+    # builtin:U has 12 generators; convolve U U is the largest builtin result
+    code, out, err = run_cli(capsys, "recmat", op, "builtin:U", "builtin:U")
+    assert (code, err) == (0, "")
+    assert Presentation.from_json_text(out).dim == dim
 
 
 def test_binary_then_unary_pipeline(tmp_path, capsys):

@@ -170,7 +170,3 @@ def test_repr_and_str():
     assert str(x) == "1+1i"
     assert "1+1i" in repr(x)
 
-
-def test_is_gaussian_integer():
-    assert GaussianRational(2, -3).is_gaussian_integer
-    assert not GaussianRational(Fraction(1, 2)).is_gaussian_integer

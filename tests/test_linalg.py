@@ -149,11 +149,27 @@ def test_det_multiplicative():
         assert det_bareiss(mat_mul(a, b)) == det_bareiss(a) * det_bareiss(b)
 
 
-def test_det_bareiss_rejects_rationals():
+def random_rational(rng, span):
+    # zeros and small numerators over a few denominators make vanishing
+    # minors common
+    def rat():
+        return Fraction(rng.randint(-span, span), rng.choice((1, 2, 3, 4, 6)))
+
+    return ZERO if rng.random() < 0.3 else GaussianRational(rat(), rat())
+
+
+def leading_block(m, k):
+    return DenseMatrix.from_rows([[m[r, c] for c in range(k)] for r in range(k)])
+
+
+def test_det_bareiss_of_rational_matrices():
     m = DenseMatrix.from_rows([[GaussianRational(Fraction(1, 2)), ONE], [ONE, ONE]])
-    with pytest.raises(ValueError):
-        det_bareiss(m)
-    assert det_field(m) == GaussianRational(Fraction(-1, 2))
+    assert det_bareiss(m) == det_field(m) == GaussianRational(Fraction(-1, 2))
+    rng = random.Random(1931)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        m = DenseMatrix(n, n, [random_rational(rng, 3) for _ in range(n * n)])
+        assert det_bareiss(m) == det_field(m)
 
 
 def test_leading_minors_match_per_order_determinants():
@@ -265,10 +281,64 @@ def test_almost_hankel_input_takes_the_elimination(monkeypatch):
         assert minors[k] == det_bareiss(block)
 
 
-def test_hankel_route_rejects_rational_entries():
-    m = hankel_matrix([ONE, GaussianRational(Fraction(1, 2)), ONE])
-    with pytest.raises(ValueError):
-        bareiss_leading_minors(m)
+@pytest.mark.parametrize("hankel_input", [True, False])
+def test_leading_minors_of_rational_matrices(hankel_input):
+    rng = random.Random(1932)
+    degenerate = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        span = rng.choice((1, 2, 5))
+        if hankel_input:
+            m = hankel_matrix([random_rational(rng, span) for _ in range(2 * n - 1)])
+        else:
+            m = DenseMatrix(n, n, [random_rational(rng, span) for _ in range(n * n)])
+        if (linalg._hankel_values(m) is not None) != hankel_input:
+            continue  # an order-1 or all-zero matrix is Hankel too
+        try:
+            minors = bareiss_leading_minors(m)
+        except DegeneracyError as exc:
+            # the attached minors are those of m, not of m times L
+            minors = exc.minors
+            assert len(minors) == exc.level
+            assert det_field(leading_block(m, exc.level)) == ZERO
+            degenerate += 1
+        for k, minor in enumerate(minors):
+            assert minor == det_field(leading_block(m, k))
+    assert degenerate > 40
+
+
+def test_hankel_recurrence_of_rational_values():
+    rng = random.Random(1933)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        values = [random_rational(rng, 5) for _ in range(2 * n - 1)]
+        m = hankel_matrix(values)
+        try:
+            minors, upper = linalg.hankel_recurrence(values)
+        except DegeneracyError:
+            continue
+        assert minors == [det_field(leading_block(m, k)) for k in range(n + 1)]
+        # T_k(k+1): rows 0..k, columns 0..k-1 and k+1
+        for k, t in enumerate(upper):
+            cols = [*range(k), k + 1]
+            rows = [[m[r, c] for c in cols] for r in range(k + 1)]
+            assert t == det_field(DenseMatrix.from_rows(rows))
+
+
+def test_degeneracy_carries_unscaled_minors():
+    # vanishes at order 3; the denominators give L = 6
+    factor = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+    values = [factor * x for x in ints(1, 0, 1, 0, 1, 1, 1, 1, -1)]
+    m = hankel_matrix(values)
+    expected = [det_field(leading_block(m, k)) for k in range(3)]
+    assert expected[2] == factor * factor and det_field(leading_block(m, 3)) == ZERO
+    for route in (bareiss_leading_minors, linalg._elimination_minors):
+        with pytest.raises(DegeneracyError) as info:
+            route(m)
+        assert (info.value.level, info.value.minors) == (3, expected)
+    with pytest.raises(DegeneracyError) as info:
+        linalg.hankel_recurrence(values)
+    assert info.value.minors == expected
 
 
 def test_span_basis():

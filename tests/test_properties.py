@@ -1,4 +1,5 @@
-"""Derandomized property tests: rref against Gauss-Jordan, the text round trip."""
+"""Derandomized property tests: rref against Gauss-Jordan, the text round
+trips, and minimize keeping the represented function."""
 
 from fractions import Fraction
 
@@ -13,10 +14,13 @@ from recqi import (  # noqa: E402
     I,
     DenseMatrix,
     GaussianRational,
+    Presentation,
     format_gaussian,
     mat_mul,
+    minimize,
     parse_gaussian,
     rref,
+    unfold,
 )
 from oracles import rref_by_pivoting  # noqa: E402
 
@@ -67,3 +71,40 @@ def test_rref_of_empty_and_zero_matrices():
 @given(gaussians(10**6))
 def test_format_parse_round_trip(x):
     assert parse_gaussian(format_gaussian(x)) == x
+
+
+@st.composite
+def presentations(draw):
+    """Presentations over alphabets of size at most 2 with at most 4
+    generators, the empty one included."""
+    p = draw(st.integers(1, 2))
+    q = draw(st.integers(1, 2))
+    dim = draw(st.integers(0, 4))
+
+    def entries(count):
+        return draw(st.lists(ENTRIES, min_size=count, max_size=count))
+
+    shifts = {
+        (s, t): DenseMatrix(dim, dim, entries(dim * dim))
+        for s in range(p)
+        for t in range(q)
+    }
+    return Presentation(p, q, entries(dim), shifts)
+
+
+PRESENTATION = settings(PROPERTY, max_examples=100)
+
+
+@PRESENTATION
+@given(presentations())
+def test_json_round_trip(pres):
+    assert Presentation.from_json_text(pres.to_json_text()) == pres
+
+
+@PRESENTATION
+@given(presentations())
+def test_minimize_keeps_the_unfoldings(pres):
+    small = minimize(pres)
+    assert small.dim <= pres.dim
+    for depth in range(4):
+        assert unfold(small, depth) == unfold(pres, depth)

@@ -1,5 +1,6 @@
 """Presentations: evaluation, unfolding, the product calculus, minimization."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -395,6 +396,40 @@ def test_duplicated_generator_is_detected():
     lvl = saturation_level(dup, 4)
     assert lvl == 1
     assert spans_equal(restriction_kernel(dup, lvl), deps, 3)
+
+
+def test_unobservable_presentation_has_the_identity_kernel():
+    # a zero init row leaves the observation span empty: every combination
+    # of generators vanishes
+    assert observation_kernel(rec_scale(0, H)) == [[ONE, ZERO], [ZERO, ONE]]
+    assert observation_kernel(zero_presentation()) == []
+
+
+# SHA-256 of the minimize JSON text of each builtin: the orbits, the
+# quotient basis and the induced shifts all show in these bytes
+MINIMIZE_DIGESTS = {
+    "H": "627875a58720e4b5e74012ac89f11a795446277d7cdf1ba556d17b91e46bb456",
+    "L": "a1d558d5784a05de35f67d8991d7b4c94f0a1cc26be8e3d14200cb6441a2d7f1",
+    "D": "4242af2cd29a2c09b54634d102f11ac6adc589b5db0f24636d4aad3a12b81fa8",
+    "I": "275b67ed152c5d765f586f77f2cf510bfcfdc63c7d85e1f973bfef4cf6d33a41",
+    "E": "cf1da8d290b307feca81ccf825faa3754431c62c38f9a35d7ad547cbae0f96e7",
+    "ones": "eff16bcc36fd9ad6e0b95af1890c5d70630972ffc327662dadbfb8ca2c948741",
+    "zero": "cfd47fcccca2c67c8ba2b1a3c17b50f00c0af0bf74fbff5133ad9b6e36d79f28",
+    "diag1plusn": "27d23b0f23f5d9c247db718cd0a281f4b0d262b28035ca1824b0b6c20755d3c9",
+    "U": "2077ff1cb1a0f00b2ad73a8bc4ffcb321c1e5860a62bb5ea08f4fa93319c2374",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINIMIZE_DIGESTS))
+def test_minimize_bytes_are_pinned(name):
+    text = minimize(builtin(name)).to_json_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == MINIMIZE_DIGESTS[name]
+
+
+def test_minimize_bytes_of_the_lu_product():
+    # L.U represents H, and its minimal presentation has the same bytes
+    text = minimize(rec_product(L, builtin("U"))).to_json_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == MINIMIZE_DIGESTS["H"]
 
 
 def test_json_round_trip():
