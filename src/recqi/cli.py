@@ -64,6 +64,9 @@ MAX_UNFOLD_VALUES = 4**10
 # largest generator count a binary `recmat` op builds, p * q shifts of
 # dim x dim entries; the largest builtin pair, convolve U U, gives 156
 MAX_RESULT_DIM = 256
+# largest JSON presentation read, in bytes; a p = q = 2, dim-256 file of
+# small Gaussian integers, as binary ops at MAX_RESULT_DIM write, is 3.5 MB
+MAX_JSON_BYTES = 2**22
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -187,7 +190,12 @@ def conjecture_report(
 def _load_presentation(source: str) -> Presentation:
     if source.startswith("builtin:"):
         return builtin(source[len("builtin:") :])
-    text = Path(source).read_text(encoding="utf-8")
+    with open(source, "rb") as fh:
+        data = fh.read(MAX_JSON_BYTES + 1)
+    if len(data) > MAX_JSON_BYTES:
+        raise ValueError(f"{source} is more than the cap of {MAX_JSON_BYTES} bytes")
+    # decoded as a text-mode read decodes it: "\r\n" and "\r" read as "\n"
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return Presentation.from_json_text(text)
 
 

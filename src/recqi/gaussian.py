@@ -1,9 +1,10 @@
 """Exact arithmetic in Q(i).
 
-Every quantity in this package is a Gaussian rational: a pair of arbitrary
-precision rationals (re, im) representing re + im*i. Values are immutable,
-stored reduced, and print in a canonical text form that parses back
-bit-exactly:
+Every quantity in this package is a Gaussian rational, stored as three
+arbitrary precision ints (a, b, d) representing (a + b*i)/d over one common
+denominator d > 0, reduced so that gcd(a, b, d) == 1; sums and products of
+Gaussian integers (d == 1) take no gcd. Values are immutable, and print in a
+canonical text form that parses back bit-exactly:
 
     gaussian := real | imag | real sign imag
     real     := rat
@@ -18,43 +19,50 @@ and "-i" are.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ParseError
 
 
 class GaussianRational:
-    """An element of Q(i). Immutable, exact, hashable."""
+    """An element of Q(i): three ints (a, b, d) meaning (a + b*i)/d, with
+    d > 0 and gcd(a, b, d) == 1, so each value has one representation and
+    equality compares fields. Immutable, exact, hashable."""
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("floats are not exact; pass int or Fraction")
-        self._re = Fraction(re)
-        self._im = Fraction(im)
-
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        # internal fast path: components are already reduced Fractions
-        self = object.__new__(cls)
-        self._re = re
-        self._im = im
-        return self
+        re, im = Fraction(re), Fraction(im)
+        # lcm of two coprime-form denominators leaves gcd(a, b, d) == 1
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @property
     def re(self) -> Fraction:
-        return self._re
+        return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
-        return self._im
+        return Fraction(self._b, self._d)
+
+    def integer_parts(self) -> tuple[int, int, int]:
+        """(a, b, d) with self == (a + b*i)/d, d > 0 and gcd(a, b, d) == 1."""
+        return self._a, self._b, self._d
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(self._re + other._re, self._im + other._im)
+        d, f = self._d, other._d
+        if d == f:
+            a, b = self._a + other._a, self._b + other._b
+            return _new(a, b, 1) if d == 1 else _reduced(a, b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
@@ -62,20 +70,30 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(self._re - other._re, self._im - other._im)
+        d, f = self._d, other._d
+        if d == f:
+            a, b = self._a - other._a, self._b - other._b
+            return _new(a, b, 1) if d == 1 else _reduced(a, b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational._raw(other._re - self._re, other._im - self._im)
+        d, f = other._d, self._d
+        if d == f:
+            return _reduced(other._a - self._a, other._b - self._b, d)
+        return _reduced(other._a * f - self._a * d, other._b * f - self._b * d, d * f)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b, c, d = self._re, self._im, other._re, other._im
-        return GaussianRational._raw(a * c - b * d, a * d + b * c)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if d == 1:
+            return _new(a * c - b * e, a * e + b * c, 1)
+        return _reduced(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
@@ -83,12 +101,13 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        c, d = other._re, other._im
-        n = c * c + d * d
+        # times the conjugate (c - e*i)/f over the norm (c^2 + e^2)/f^2
+        c, e, f = other._a, other._b, other._d
+        n = c * c + e * e
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        a, b = self._re, self._im
-        return GaussianRational._raw((a * c + b * d) / n, (b * c - a * d) / n)
+        a, b = self._a, self._b
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -97,7 +116,7 @@ class GaussianRational:
         return other / self
 
     def __neg__(self):
-        return GaussianRational._raw(-self._re, -self._im)
+        return _new(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -106,24 +125,24 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self._re == other._re and self._im == other._im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # keep hash(x) == hash(int(x)) when the value is rational real,
         # since __eq__ accepts int and Fraction
-        if not self._im:
-            return hash(self._re)
-        return hash((self._re, self._im))
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(self.re)
+        return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self._re) or bool(self._im)
+        return bool(self._a or self._b)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self._re, -self._im)
+        return _new(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """re^2 + im^2, the multiplicative norm down to Q."""
-        return self._re * self._re + self._im * self._im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __str__(self) -> str:
         return format_gaussian(self)
@@ -132,15 +151,28 @@ class GaussianRational:
         return f"GaussianRational({str(self)!r})"
 
 
+def _new(a: int, b: int, d: int) -> GaussianRational:
+    # (a + b*i)/d, already canonical
+    self = object.__new__(GaussianRational)
+    self._a, self._b, self._d = a, b, d
+    return self
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    # (a + b*i)/d for any d > 0
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
+
+
 def _coerce(value) -> GaussianRational | None:
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, int) or isinstance(value, Fraction):
-        return GaussianRational._raw(Fraction(value), _FR_ZERO)
+    if isinstance(value, (int, Fraction)):
+        return _new(value.numerator, 0, value.denominator)
     return None
 
-
-_FR_ZERO = Fraction(0)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -165,21 +197,20 @@ def pow_i(k: int) -> GaussianRational:
     return _POW_I[k % 4]
 
 
-def _format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _format_ratio(n: int, d: int) -> str:
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def format_gaussian(value: GaussianRational) -> str:
     """Canonical text form; inverse of :func:`parse_gaussian`."""
-    re, im = value._re, value._im
-    if not im:
-        return _format_fraction(re)
-    if not re:
-        return _format_fraction(im) + "i"
-    sign = "+" if im > 0 else "-"
-    return _format_fraction(re) + sign + _format_fraction(abs(im)) + "i"
+    a, b, d = value._a, value._b, value._d
+    if not b:
+        return _format_ratio(a, d)
+    if not a:
+        return _format_ratio(b, d) + "i"
+    sign = "+" if b > 0 else "-"
+    return _format_ratio(a, d) + sign + _format_ratio(abs(b), d) + "i"
 
 
 def parse_gaussian(text: str) -> GaussianRational:

@@ -273,11 +273,10 @@ def det_field(m: DenseMatrix) -> GaussianRational:
 def _int_parts(values) -> tuple[list[int], list[int], int]:
     """Real and imaginary parts of L*x for each value x, and L, the least
     common multiple of the denominators of all parts."""
-    re = [x.re for x in values]
-    im = [x.im for x in values]
-    scale = math.lcm(*{q.denominator for q in re}, *{q.denominator for q in im})
-    re = [q.numerator * (scale // q.denominator) for q in re]
-    im = [q.numerator * (scale // q.denominator) for q in im]
+    parts = [x.integer_parts() for x in values]
+    scale = math.lcm(*{d for _, _, d in parts})
+    re = [a * (scale // d) for a, _, d in parts]
+    im = [b * (scale // d) for _, b, d in parts]
     return re, im, scale
 
 

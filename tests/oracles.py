@@ -57,6 +57,46 @@ def det_cofactor(m: DenseMatrix) -> GaussianRational:
     return total
 
 
+class FractionPair:
+    """Q(i) as a pair of reduced Fractions (re, im), with the schoolbook
+    formulas: the reference the int-backed GaussianRational is checked
+    against. Operands are FractionPair, GaussianRational, int or Fraction."""
+
+    def __init__(self, value, im=0):
+        if isinstance(value, (FractionPair, GaussianRational)):
+            value, im = value.re, value.im
+        self.re, self.im = Fraction(value), Fraction(im)
+
+    def __add__(self, other):
+        other = FractionPair(other)
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = FractionPair(other)
+        return FractionPair(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = FractionPair(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return FractionPair(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        other = FractionPair(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        n = c * c + d * d
+        return FractionPair((a * c + b * d) / n, (b * c - a * d) / n)
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def norm(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        other = FractionPair(other)
+        return (self.re, self.im) == (other.re, other.im)
+
+
 def random_gaussian(rng, span=12) -> GaussianRational:
     def rat():
         return Fraction(rng.randint(-span, span), rng.randint(1, span))

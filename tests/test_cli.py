@@ -473,6 +473,53 @@ def test_malformed_presentation_file(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def padded_presentation(path, size):
+    # builtin:H as JSON, then trailing spaces up to exactly size bytes
+    data = builtin("H").to_json_text().encode()
+    path.write_bytes(data + b" " * (size - len(data)))
+    return str(path)
+
+
+def test_json_cap_admits_the_bound(capsys, tmp_path):
+    source = padded_presentation(tmp_path / "at_cap.json", cli.MAX_JSON_BYTES)
+    expected = run_cli(capsys, "recmat", "eval", "builtin:H", "11", "01")
+    assert run_cli(capsys, "recmat", "eval", source, "11", "01") == expected
+
+
+def test_json_cap_refuses_one_byte_past(capsys, tmp_path):
+    source = padded_presentation(tmp_path / "past_cap.json", cli.MAX_JSON_BYTES + 1)
+    code, out, err = run_cli(capsys, "recmat", "eval", source, "11", "01")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {source} is more than the cap of {cli.MAX_JSON_BYTES} bytes\n"
+    )
+
+
+def test_json_newlines_read_as_in_text_mode(capsys, tmp_path):
+    # "\r\n" and "\r" count as one line break in JSON error positions
+    errors = []
+    for newline in (b"\n", b"\r\n", b"\r"):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"p": 2,' + newline + newline + b' "q": }' + newline)
+        errors.append(run_cli(capsys, "recmat", "minimize", str(bad)))
+    assert errors[0][0] == 2 and "line 3 column 7" in errors[0][2]
+    assert errors[0] == errors[1] == errors[2]
+
+
+def test_json_cap_on_a_pipe():
+    # the child stops reading at the cap, so an endless stream ends the same way
+    result = subprocess.run(
+        [sys.executable, "-m", "recqi", "recmat", "minimize", "/dev/stdin"],
+        input=b" " * (2 * cli.MAX_JSON_BYTES),
+        capture_output=True,
+        env=child_env(),
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.decode() == (
+        f"error: /dev/stdin is more than the cap of {cli.MAX_JSON_BYTES} bytes\n"
+    )
+
+
 @pytest.mark.parametrize("alias", [" 0,0", "+0,0", "0, 0", "00,0"])
 def test_presentation_rejects_noncanonical_shift_keys(capsys, tmp_path, alias):
     # an alias of "0,0" used to parse as (0, 0) and replace the earlier matrix
@@ -529,15 +576,19 @@ def test_output_is_deterministic(capsys, tmp_path):
     assert files[0] == files[1]
 
 
-def test_module_entry_point():
+def child_env():
     # the child imports the same package as this process, installed or not
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "recqi", "verify-det", "--max-n", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "n,det_order_n_plus_1,folding_product,match"

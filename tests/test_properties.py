@@ -1,12 +1,15 @@
-"""Derandomized property tests: rref against Gauss-Jordan, the text round
-trips, and minimize keeping the represented function."""
+"""Derandomized property tests: the Q(i) scalar against Fraction pairs, rref
+against Gauss-Jordan, the text round trips, and minimize keeping the
+represented function."""
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from recqi import (  # noqa: E402
     ZERO,
@@ -22,7 +25,7 @@ from recqi import (  # noqa: E402
     rref,
     unfold,
 )
-from oracles import rref_by_pivoting  # noqa: E402
+from oracles import FractionPair, rref_by_pivoting  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -33,6 +36,103 @@ def rationals(bound):
 
 def gaussians(bound):
     return st.builds(GaussianRational, rationals(bound), rationals(bound))
+
+
+# shared small denominators make equal and reducible denominators common
+SCALAR_PARTS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-6, 6), st.integers(-(10**12), 10**12)),
+    st.one_of(st.sampled_from([1, 1, 2, 3, 4, 6, 12]), st.integers(1, 10**6)),
+)
+SCALARS = st.builds(GaussianRational, SCALAR_PARTS, SCALAR_PARTS)
+# mixed operands: int and Fraction on either side of a GaussianRational
+OPERANDS = st.one_of(SCALARS, SCALARS, st.integers(-(10**6), 10**6), SCALAR_PARTS)
+OPERATORS = st.sampled_from(
+    [operator.add, operator.sub, operator.mul, operator.truediv]
+)
+
+
+def assert_canonical(x):
+    a, b, d = x.integer_parts()
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (a, b, d) == GaussianRational(x.re, x.im).integer_parts()
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+@PROPERTY
+@given(OPERANDS, OPERANDS, OPERATORS)
+def test_arithmetic_matches_fraction_pairs(x, y, op):
+    assume(isinstance(x, GaussianRational) or isinstance(y, GaussianRational))
+    if op is operator.truediv and not y:
+        with pytest.raises(ZeroDivisionError):
+            op(FractionPair(x), y)
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    got = op(x, y)
+    assert type(got) is GaussianRational
+    assert_canonical(got)
+    assert FractionPair(got) == op(FractionPair(x), y)
+
+
+@PROPERTY
+@given(OPERANDS, OPERANDS)
+def test_equality_matches_fraction_pairs(x, y):
+    assume(isinstance(x, GaussianRational) or isinstance(y, GaussianRational))
+    assert (x == y) == (FractionPair(x) == FractionPair(y)) == (not x != y)
+
+
+@PROPERTY
+@given(SCALARS)
+def test_unary_parts_match_fraction_pairs(x):
+    reference = FractionPair(x)
+    assert_canonical(x)
+    assert (x.re, x.im) == (reference.re, reference.im)
+    assert_canonical(x.conjugate())
+    assert FractionPair(x.conjugate()) == reference.conjugate()
+    assert_canonical(-x)
+    assert FractionPair(-x) == FractionPair(0) - reference
+    assert type(x.norm()) is Fraction and x.norm() == reference.norm()
+    assert bool(x) == bool(reference.re or reference.im)
+
+
+@PROPERTY
+@given(SCALARS, SCALARS, SCALARS)
+def test_ring_laws(x, y, z):
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + ZERO == x and x * ONE == x and x - x == ZERO
+    if y:
+        assert (x / y) * y == x
+
+
+def test_zero_is_canonical():
+    half = GaussianRational(Fraction(1, 2), 1)
+    zeros = [ZERO, GaussianRational(), GaussianRational(Fraction(0, 5))]
+    zeros += [I - I, I * 0, half - half]
+    assert all(z.integer_parts() == (0, 0, 1) for z in zeros)
+
+
+@PROPERTY
+@given(SCALAR_PARTS, SCALARS)
+def test_hash_matches_equal_values(q, x):
+    real = GaussianRational(q)
+    assert real == q and hash(real) == hash(real.re) == hash(q)
+    if q.denominator == 1:
+        assert real == q.numerator and hash(real) == hash(q.numerator)
+    assert hash(x) == (hash((x.re, x.im)) if x.im else hash(x.re))
+    rebuilt = GaussianRational(x.re, x.im)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+def test_division_by_zero_in_every_form():
+    for zero in (ZERO, 0, Fraction(0), GaussianRational(Fraction(0, 3))):
+        for x in (ONE, I, GaussianRational(Fraction(1, 2), 3)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+        with pytest.raises(ZeroDivisionError):
+            zero / ZERO
 
 
 # small units and zeros make repeated and dependent rows common
