@@ -35,6 +35,7 @@ from .recmat import (
     rec_sum,
     rec_transpose,
     unfold,
+    unfold_levels,
 )
 from .report import VerificationReport
 from .thuemorse import (
@@ -58,8 +59,10 @@ MAX_ORDER = 128
 MAX_OFFSET = 2**16
 # largest table `recmat unfold` builds: 4^9 cells is builtin:H at depth 9
 MAX_UNFOLD_CELLS = 4**9
-# most values `unfold` holds at once, a vector of dim generators per cell:
-# builtin:H (dim 2) still unfolds to depth 9, builtin:U (dim 12) to depth 8
+# cap on cells x dim, which bounds what `unfold` holds within a small factor:
+# dim generator values per cell of the level below the last, one value per
+# cell at the last; builtin:H (dim 2) still unfolds to depth 9, builtin:U
+# (dim 12) to depth 8
 MAX_UNFOLD_VALUES = 4**10
 # largest generator count a binary `recmat` op builds, p * q shifts of
 # dim x dim entries; the largest builtin pair, convolve U U, gives 156
@@ -99,19 +102,13 @@ def lu_report(depth: int) -> VerificationReport:
     """
     if not 0 <= depth <= 8:
         raise ValueError("--depth must lie in 0..8")
-    p_lower = builtin("L")
-    p_upper = builtin("U")
-    p_diag = builtin("D")
-    p_hank = builtin("H")
     moments = series_product(None, 2 ** (depth + 1))
     dets = hankel_det_table(moments.coefficient, 0, 2**depth)
     report = VerificationReport(("n", "diag_product", "folding_product", "match"))
-    for n in range(depth + 1):
+    # each presentation is unfolded once, its levels read in lockstep
+    levels = zip(*(unfold_levels(builtin(name), depth) for name in "LUDH"))
+    for n, (low, upp, dia, han) in enumerate(levels):
         size = 2**n
-        low = unfold(p_lower, n)
-        upp = unfold(p_upper, n)
-        dia = unfold(p_diag, n)
-        han = unfold(p_hank, n)
         ok_product = mat_mul(low, upp) == han
         ok_shapes = (
             low.is_unit_lower_triangular()

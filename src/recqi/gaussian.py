@@ -224,7 +224,8 @@ def parse_gaussian(text: str) -> GaussianRational:
     if n == 0:
         raise ParseError("empty input", 0)
 
-    def scan_unsigned(pos: int) -> tuple[Fraction, int]:
+    def scan_unsigned(pos: int) -> tuple[int, int, int]:
+        # (numerator, denominator, end position), unreduced
         start = pos
         while pos < n and s[pos].isdigit():
             pos += 1
@@ -241,39 +242,39 @@ def parse_gaussian(text: str) -> GaussianRational:
             den = int(s[dstart:pos])
             if den == 0:
                 raise ParseError("zero denominator", dstart)
-            return Fraction(num, den), pos
-        return Fraction(num), pos
+            return num, den, pos
+        return num, 1, pos
 
-    def scan_rat(pos: int) -> tuple[Fraction, int]:
+    def scan_rat(pos: int) -> tuple[int, int, int]:
         if s[pos] == "-":
-            value, pos = scan_unsigned(pos + 1)
-            return -value, pos
+            num, den, pos = scan_unsigned(pos + 1)
+            return -num, den, pos
         return scan_unsigned(pos)
 
     if s == "+i":
         return I
     if s == "-i":
-        return GaussianRational(0, -1)
+        return _new(0, -1, 1)
 
-    value, pos = scan_rat(0)
+    num, den, pos = scan_rat(0)
     if pos == n:
-        return GaussianRational(value, 0)
+        return _reduced(num, 0, den)
     ch = s[pos]
     if ch == "i":
         if pos + 1 != n:
             raise ParseError("trailing characters after 'i'", pos + 1)
-        return GaussianRational(0, value)
+        return _reduced(0, num, den)
     if ch in "+-":
         sign = 1 if ch == "+" else -1
         pos += 1
         if pos < n and s[pos] == "i":
             if pos + 1 != n:
                 raise ParseError("trailing characters after 'i'", pos + 1)
-            return GaussianRational(value, sign)
-        mag, pos = scan_unsigned(pos)
+            return _reduced(num, sign * den, den)
+        im_num, im_den, pos = scan_unsigned(pos)
         if pos >= n or s[pos] != "i":
             raise ParseError("expected 'i'", pos)
         if pos + 1 != n:
             raise ParseError("trailing characters after 'i'", pos + 1)
-        return GaussianRational(value, sign * mag)
+        return _reduced(num * im_den, sign * im_num * den, den * im_den)
     raise ParseError("unexpected character", pos)

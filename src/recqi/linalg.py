@@ -183,18 +183,16 @@ def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     n, k, m = a.rows, a.cols, b.cols
     ae, be = a.entries, b.entries
+    # the nonzero (column, value) pairs of each row of b, read once
+    b_rows = [
+        [(c, y) for c, y in enumerate(be[t * m : t * m + m]) if y] for t in range(k)
+    ]
     out = [ZERO] * (n * m)
     for r in range(n):
-        abase = r * k
         obase = r * m
-        for t in range(k):
-            x = ae[abase + t]
-            if not x:
-                continue
-            bbase = t * m
-            for c in range(m):
-                y = be[bbase + c]
-                if y:
+        for x, b_row in zip(ae[r * k : r * k + k], b_rows):
+            if x:
+                for c, y in b_row:
                     out[obase + c] = out[obase + c] + x * y
     return DenseMatrix(n, m, out)
 

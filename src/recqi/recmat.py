@@ -325,28 +325,42 @@ def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
     return vec[0]
 
 
-def unfold(pres: Presentation, depth: int) -> DenseMatrix:
-    """p^depth x q^depth matrix of values, words encoded as digit indices."""
+def unfold_levels(pres: Presentation, depth: int):
+    """Yield unfold(pres, n) for n = 0..depth from one pass over the levels.
+
+    Cell (r, c) of level n holds the vector of all generator values at the
+    pair whose words are the digits of r and c. Only generator 0 is read at
+    the last level, so it applies column 0 of each shift alone, and its grid
+    is dropped before its matrix is yielded.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    rows, cols = pres.p**depth, pres.q**depth
-    if pres.dim == 0:
-        return DenseMatrix.zeros(rows, cols)
-    actions = {key: _columns(m) for key, m in pres.shift_items()}
-    # level L is a p^L x q^L grid; cell (r, c) holds the vector of all
-    # generator values at the pair whose words are the digits of r and c
-    grid = [[list(pres.init)]]
+    p, q = pres.p, pres.q
+    # no generators: one that every shift kills represents the zero function
+    actions = {key: _columns(m) or [[]] for key, m in pres.shift_items()}
+    grid = [[list(pres.init) or [ZERO]]]
     pr, qc = 1, 1
-    for _ in range(depth):
-        nxt = [[None] * (qc * pres.q) for _ in range(pr * pres.p)]
+    for n in range(depth):
+        yield DenseMatrix(pr, qc, [vec[0] for row in grid for vec in row])
+        if n == depth - 1:
+            actions = {key: cols[:1] for key, cols in actions.items()}
+        nxt = [[None] * (qc * q) for _ in range(pr * p)]
         for r, row in enumerate(grid):
             for c, vec in enumerate(row):
                 for (s, t), action in actions.items():
                     nxt[r + s * pr][c + t * qc] = _apply_action(action, vec)
-        grid = nxt
-        pr *= pres.p
-        qc *= pres.q
-    return DenseMatrix(rows, cols, [vec[0] for row in grid for vec in row])
+        grid, pr, qc = nxt, pr * p, qc * q
+    last = DenseMatrix(pr, qc, [vec[0] for row in grid for vec in row])
+    grid = nxt = None  # both name the last grid
+    yield last
+
+
+def unfold(pres: Presentation, depth: int) -> DenseMatrix:
+    """p^depth x q^depth matrix of values, words encoded as digit indices:
+    the last level of :func:`unfold_levels`."""
+    for matrix in unfold_levels(pres, depth):
+        pass
+    return matrix
 
 
 # -- the four products and transpose ----------------------------------------

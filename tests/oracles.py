@@ -97,6 +97,21 @@ class FractionPair:
         return (self.re, self.im) == (other.re, other.im)
 
 
+def mat_mul_by_sums(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """Entry (r, c) is the full sum over t of a[r, t] * b[t, c], zero terms
+    included."""
+    assert a.cols == b.rows
+    return DenseMatrix(
+        a.rows,
+        b.cols,
+        [
+            sum((a[r, t] * b[t, c] for t in range(a.cols)), ZERO)
+            for r in range(a.rows)
+            for c in range(b.cols)
+        ],
+    )
+
+
 def random_gaussian(rng, span=12) -> GaussianRational:
     def rat():
         return Fraction(rng.randint(-span, span), rng.randint(1, span))

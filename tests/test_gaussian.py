@@ -127,6 +127,8 @@ def test_parse_examples():
     # legal but non-canonical spellings still parse to the reduced value
     assert parse_gaussian("2/4") == GaussianRational(Fraction(1, 2))
     assert parse_gaussian("0i") == ZERO
+    assert parse_gaussian("-0").integer_parts() == (0, 0, 1)
+    assert parse_gaussian("-0/6+4/6i").integer_parts() == (0, 2, 3)
 
 
 @pytest.mark.parametrize(

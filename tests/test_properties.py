@@ -1,6 +1,7 @@
 """Derandomized property tests: the Q(i) scalar against Fraction pairs, rref
-against Gauss-Jordan, the text round trips, and minimize keeping the
-represented function."""
+against Gauss-Jordan, mat_mul against full sums, the text round trips, the
+unfolding levels against evaluation, the presentation products against the
+unfoldings, and minimize keeping the represented function."""
 
 import math
 import operator
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from recqi import (  # noqa: E402
     ZERO,
@@ -18,14 +19,27 @@ from recqi import (  # noqa: E402
     DenseMatrix,
     GaussianRational,
     Presentation,
+    evaluate,
     format_gaussian,
     mat_mul,
     minimize,
     parse_gaussian,
+    rec_convolution,
+    rec_hadamard,
+    rec_product,
+    rec_sum,
     rref,
     unfold,
+    unfold_levels,
+    word_pairs,
+    zero_presentation,
 )
-from oracles import FractionPair, rref_by_pivoting  # noqa: E402
+from oracles import (  # noqa: E402
+    FractionPair,
+    convolution_oracle,
+    mat_mul_by_sums,
+    rref_by_pivoting,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -167,19 +181,61 @@ def test_rref_of_empty_and_zero_matrices():
         assert rref(m) == (m, 0, ()) == rref_by_pivoting(m)
 
 
+# sparse factors: zero entries at least as common as all the others together
+SPARSE = st.one_of(st.just(ZERO), ENTRIES)
+
+
+@st.composite
+def factor_pairs(draw):
+    """Matrices a (n x k) and b (k x m) with every side in 0..5."""
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def dense(r, c):
+        return DenseMatrix(r, c, draw(st.lists(SPARSE, min_size=r * c, max_size=r * c)))
+
+    return dense(n, k), dense(k, m)
+
+
+@PROPERTY
+@given(factor_pairs())
+@example((DenseMatrix.zeros(0, 3), DenseMatrix.zeros(3, 2)))
+@example((DenseMatrix.zeros(2, 3), DenseMatrix.zeros(3, 0)))
+@example((DenseMatrix.zeros(2, 0), DenseMatrix.zeros(0, 3)))
+def test_mat_mul_matches_full_sums(pair):
+    a, b = pair
+    assert mat_mul(a, b) == mat_mul_by_sums(a, b)
+
+
 @PROPERTY
 @given(gaussians(10**6))
 def test_format_parse_round_trip(x):
     assert parse_gaussian(format_gaussian(x)) == x
 
 
+@PROPERTY
+@given(st.integers(-60, 60), st.integers(1, 12), st.integers(-60, 60), st.integers(1, 12))
+def test_parse_reduces_unreduced_spellings(a, d, b, e):
+    re, im = Fraction(a, d), Fraction(b, e)
+    sign = "-" if b < 0 else "+"
+    spellings = {
+        f"{a}/{d}": GaussianRational(re),
+        f"{b}/{e}i": GaussianRational(0, im),
+        f"{a}/{d}{sign}{abs(b)}/{e}i": GaussianRational(re, im),
+        f"{a}{sign}i": GaussianRational(a, -1 if b < 0 else 1),
+    }
+    for text, value in spellings.items():
+        got = parse_gaussian(text)
+        assert_canonical(got)
+        assert got == value
+
+
 @st.composite
-def presentations(draw):
-    """Presentations over alphabets of size at most 2 with at most 4
-    generators, the empty one included."""
-    p = draw(st.integers(1, 2))
-    q = draw(st.integers(1, 2))
-    dim = draw(st.integers(0, 4))
+def presentations(draw, p=None, q=None, max_dim=4):
+    """Presentations over the given alphabet sizes, else sizes at most 2,
+    with at most max_dim generators, the empty one included."""
+    p = draw(st.integers(1, 2)) if p is None else p
+    q = draw(st.integers(1, 2)) if q is None else q
+    dim = draw(st.integers(0, max_dim))
 
     def entries(count):
         return draw(st.lists(ENTRIES, min_size=count, max_size=count))
@@ -208,3 +264,57 @@ def test_minimize_keeps_the_unfoldings(pres):
     assert small.dim <= pres.dim
     for depth in range(4):
         assert unfold(small, depth) == unfold(pres, depth)
+
+
+@PRESENTATION
+@given(presentations())
+@example(zero_presentation(1, 2))
+def test_unfold_levels_evaluate_every_word_pair(pres):
+    levels = list(unfold_levels(pres, 3))
+    assert len(levels) == 4
+    for n, level in enumerate(levels):
+        assert (level.rows, level.cols) == (pres.p**n, pres.q**n)
+        values = [evaluate(pres, pair) for pair in word_pairs(pres.p, pres.q, n)]
+        assert list(level.entries) == values
+    assert levels[-1] == unfold(pres, 3)
+
+
+# the results of binary ops have up to dim_a * dim_b + dim_a generators
+BINARY = settings(PROPERTY, max_examples=60)
+
+
+def level_triples(pa, pb, result, depth=3):
+    return zip(*(unfold_levels(x, depth) for x in (pa, pb, result)))
+
+
+@BINARY
+@given(presentations(max_dim=3), st.data())
+def test_rec_sum_is_the_entrywise_sum(pa, data):
+    pb = data.draw(presentations(pa.p, pa.q, max_dim=3))
+    for ua, ub, total in level_triples(pa, pb, rec_sum(pa, pb)):
+        assert total == ua + ub
+
+
+@BINARY
+@given(presentations(max_dim=3), st.data())
+def test_rec_hadamard_is_the_entrywise_product(pa, data):
+    pb = data.draw(presentations(pa.p, pa.q, max_dim=3))
+    for ua, ub, had in level_triples(pa, pb, rec_hadamard(pa, pb)):
+        assert had == ua.entrywise_product(ub)
+
+
+@BINARY
+@given(presentations(max_dim=3), st.data())
+def test_rec_product_is_the_matrix_product(pa, data):
+    pb = data.draw(presentations(pa.q, None, max_dim=3))
+    for ua, ub, prod in level_triples(pa, pb, rec_product(pa, pb)):
+        assert prod == mat_mul_by_sums(ua, ub)
+
+
+@BINARY
+@given(presentations(max_dim=3), st.data())
+def test_rec_convolution_is_the_splitting_sum(pa, data):
+    pb = data.draw(presentations(pa.p, pa.q, max_dim=3))
+    for n, conv in enumerate(unfold_levels(rec_convolution(pa, pb), 3)):
+        pairs = word_pairs(pa.p, pa.q, n)
+        assert list(conv.entries) == [convolution_oracle(pa, pb, x) for x in pairs]
