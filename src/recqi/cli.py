@@ -19,7 +19,7 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import DegeneracyError, ParseError
+from .errors import DegeneracyError
 from .gaussian import GAUSSIAN_UNITS, ONE, format_gaussian
 from .jacobi import jfraction_from_moments, u_formula, v_formula
 from .linalg import mat_mul
@@ -172,6 +172,8 @@ def conjecture_report(
     """The determinant table under random sign prefixes, one row per trial."""
     if trials < 0 or prefix_len < 0:
         raise ValueError("--trials and --prefix-len must be nonnegative")
+    if max_n < 0:
+        raise ValueError("--max-n must be nonnegative")
     _check_cap("--trials", trials, MAX_TRIALS)
     _check_cap("--prefix-len", prefix_len, MAX_PREFIX_LEN)
     _check_cap("--max-n", max_n, MAX_N)
@@ -394,16 +396,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DegeneracyError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

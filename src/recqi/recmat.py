@@ -12,6 +12,10 @@ Words are written letter 1 first. When word pairs are laid out as matrix
 indices (unfold), letter 1 is the least significant base-p / base-q digit,
 so unfolding the Hankel builtin at depth n gives the top-left 2^n block of
 the full Hankel array.
+
+The binary operations of the category Rec(K) (sum, matrix product, Hadamard
+product, convolution) write each shift of their result as a sum of Kronecker
+products of the operands' shifts placed as blocks, built by one routine.
 """
 
 from __future__ import annotations
@@ -133,8 +137,9 @@ class Presentation:
             if len(labels) != dim:
                 raise ValueError("one label per generator")
         shifts = dict(shifts)
-        expected = {(s, t) for s in range(p) for t in range(q)}
-        if set(shifts) != expected:
+        # the count first: p * q letter pairs may be far too many to list
+        pairs = ((s, t) for s in range(p) for t in range(q))
+        if len(shifts) != p * q or not all(pair in shifts for pair in pairs):
             raise ValueError("need exactly one shift matrix per letter pair")
         for key, m in shifts.items():
             if not isinstance(m, DenseMatrix) or m.rows != dim or m.cols != dim:
@@ -252,7 +257,8 @@ class Presentation:
             shifts[(s, t)] = DenseMatrix(dim, dim, entries)
         if p < 1 or q < 1:
             raise ParseError("alphabet sizes must be at least 1")
-        if set(shifts) != {(s, t) for s in range(p) for t in range(q)}:
+        # distinct keys in range, p * q of them, are exactly the letter pairs
+        if len(shifts) != p * q or any(s >= p or t >= q for s, t in shifts):
             raise ParseError("shifts must cover exactly the letter pairs")
         return cls(p, q, [parse_gaussian(x) for x in init], shifts, labels)
 
@@ -366,36 +372,25 @@ def unfold(pres: Presentation, depth: int) -> DenseMatrix:
 # -- the four products and transpose ----------------------------------------
 
 
-def _kronecker(pa, pb, p, q, factors, joiner) -> Presentation:
-    """Generators A_i.B_j, indexed row-major, over alphabets p and q.
-
-    Shift (s, t) is the sum of the Kronecker products M (x) N over the
-    matrix pairs (M, N) in factors(s, t).
+def _assemble(p, q, dim, init, labels, blocks) -> Presentation:
+    """The presentation whose shift (s, t) is the dim x dim sum, over the
+    entries (row, col, M, N) of blocks(s, t), of the Kronecker product M (x) N
+    of two rectangular matrices placed with its top-left entry at (row, col).
     """
-    a, b = pa.dim, pb.dim
-    dim = a * b
-    init = [x * y for x in pa.init for y in pb.init]
-    labels = [f"{x}{joiner}{y}" for x in pa.labels for y in pb.labels]
     shifts = {}
     for s in range(p):
         for t in range(q):
             out = [ZERO] * (dim * dim)
-            for ma, mb in factors(s, t):
-                ea, eb = ma.entries, mb.entries
+            for row, col, ma, mb in blocks(s, t):
+                n1, n2, eb = mb.rows, mb.cols, mb.entries
                 # entry (l, j) of N lands at offset l * dim + j of each block
-                nonzero = [
-                    (l * dim + j, eb[l * b + j])
-                    for l in range(b)
-                    for j in range(b)
-                    if eb[l * b + j]
-                ]
-                for k in range(a):
-                    for i in range(a):
-                        x = ea[k * a + i]
-                        if x:
-                            base = k * b * dim + i * b
-                            for off, y in nonzero:
-                                out[base + off] = out[base + off] + x * y
+                nonzero = [(e // n2 * dim + e % n2, y) for e, y in enumerate(eb) if y]
+                for e, x in enumerate(ma.entries):
+                    if x:
+                        k, i = divmod(e, ma.cols)
+                        base = (row + k * n1) * dim + col + i * n2
+                        for off, y in nonzero:
+                            out[base + off] = out[base + off] + x * y
             shifts[(s, t)] = DenseMatrix(dim, dim, out)
     return Presentation(p, q, init, shifts, labels)
 
@@ -409,10 +404,12 @@ def rec_product(pa: Presentation, pb: Presentation) -> Presentation:
     if pa.q != pb.p:
         raise ValueError("inner alphabets do not match")
 
-    def factors(s, t):
-        return [(pa.shift(s, v), pb.shift(v, t)) for v in range(pa.q)]
+    def blocks(s, t):
+        return [(0, 0, pa.shift(s, v), pb.shift(v, t)) for v in range(pa.q)]
 
-    return _kronecker(pa, pb, pa.p, pb.q, factors, ".")
+    init = [x * y for x in pa.init for y in pb.init]
+    labels = [f"{x}.{y}" for x in pa.labels for y in pb.labels]
+    return _assemble(pa.p, pb.q, pa.dim * pb.dim, init, labels, blocks)
 
 
 def rec_hadamard(pa: Presentation, pb: Presentation) -> Presentation:
@@ -420,10 +417,12 @@ def rec_hadamard(pa: Presentation, pb: Presentation) -> Presentation:
     if pa.p != pb.p or pa.q != pb.q:
         raise ValueError("alphabets do not match")
 
-    def factors(s, t):
-        return [(pa.shift(s, t), pb.shift(s, t))]
+    def blocks(s, t):
+        return [(0, 0, pa.shift(s, t), pb.shift(s, t))]
 
-    return _kronecker(pa, pb, pa.p, pa.q, factors, "*")
+    init = [x * y for x in pa.init for y in pb.init]
+    labels = [f"{x}*{y}" for x in pa.labels for y in pb.labels]
+    return _assemble(pa.p, pa.q, pa.dim * pb.dim, init, labels, blocks)
 
 
 def rec_scale(factor, pres: Presentation) -> Presentation:
@@ -441,9 +440,11 @@ def rec_scale(factor, pres: Presentation) -> Presentation:
 def rec_sum(pa: Presentation, pb: Presentation) -> Presentation:
     """Pointwise sum with the sum itself as generator 0.
 
-    Built as the direct sum conjugated by the basis change that replaces the
-    first A generator with A_0 + B_0, so the represented function is again
-    generator 0.
+    The generators are C_0 = A_0 + B_0, C_k = A_k for 0 < k < a and
+    C_(a+k) = B_k, so A_0 = C_0 - C_a. In this basis shift (s, t) is the
+    direct sum of A(s, t) and B(s, t), plus column 0 of B(s, t) at (a, 0)
+    (the shift of B_0 inside that of C_0), minus row 0 of A(s, t) at (a, 0)
+    (each A_0 term rewritten as C_0 - C_a).
     """
     if pa.p != pb.p or pa.q != pb.q:
         raise ValueError("alphabets do not match")
@@ -452,31 +453,20 @@ def rec_sum(pa: Presentation, pb: Presentation) -> Presentation:
         return pb
     if b == 0:
         return pa
-    dim = a + b
-    init = [pa.init[0] + pb.init[0]]
-    init.extend(pa.init[1:])
-    init.extend(pb.init)
-    labels = [f"{pa.labels[0]}+{pb.labels[0]}"]
-    labels.extend(pa.labels[1:])
-    labels.extend(pb.labels)
-    shifts = {}
-    for (s, t), ma in pa.shift_items():
-        mb = pb.shift(s, t)
-        rows = [[ZERO] * dim for _ in range(dim)]
-        for k in range(a):
-            for j in range(a):
-                rows[k][j] = ma[k, j]
-        for k in range(b):
-            for j in range(b):
-                rows[a + k][a + j] = mb[k, j]
-        # column 0 of the conjugated matrix: image of A_0 + B_0
-        for k in range(b):
-            rows[a + k][0] = mb[k, 0]
-        # row a absorbs the change of basis B_0 = C_a, A_0 = C_0 - C_a
-        for j in range(dim):
-            rows[a][j] = rows[a][j] - rows[0][j]
-        shifts[(s, t)] = DenseMatrix.from_rows(rows)
-    return Presentation(pa.p, pa.q, init, shifts, labels)
+    one, minus_one = DenseMatrix.identity(1), DenseMatrix(1, 1, [-ONE])
+
+    def blocks(s, t):
+        ma, mb = pa.shift(s, t), pb.shift(s, t)
+        return [
+            (0, 0, ma, one),
+            (a, a, mb, one),
+            (a, 0, DenseMatrix(b, 1, mb.entries[::b]), one),
+            (a, 0, DenseMatrix(1, a, ma.entries[:a]), minus_one),
+        ]
+
+    init = [pa.init[0] + pb.init[0], *pa.init[1:], *pb.init]
+    labels = [f"{pa.labels[0]}+{pb.labels[0]}", *pa.labels[1:], *pb.labels]
+    return _assemble(pa.p, pa.q, a + b, init, labels, blocks)
 
 
 def rec_transpose(pres: Presentation) -> Presentation:
@@ -493,39 +483,28 @@ def rec_convolution(pa: Presentation, pb: Presentation) -> Presentation:
 
     Shifting by one letter either extends B's block (term (shift B)) or
     closes it at length zero and starts shifting A (term (shift A) * B[empty]),
-    so the generator space is {A_i * B_j} plus a copy of {A_i}.
+    so the generator space is {A_i * B_j} plus a copy of {A_i}, and shift
+    (s, t) is [[I_a (x) B(s, t), 0], [A(s, t) (x) init_B^T, A(s, t)]].
     """
     if pa.p != pb.p or pa.q != pb.q:
         raise ValueError("alphabets do not match")
     a, b = pa.dim, pb.dim
     if a == 0 or b == 0:
         return zero_presentation(pa.p, pa.q)
-    dim = a * b + a
-    init = [pa.init[i] * pb.init[j] for i in range(a) for j in range(b)]
-    init.extend(pa.init)
-    labels = [f"{x}~{y}" for x in pa.labels for y in pb.labels]
-    labels.extend(pa.labels)
-    shifts = {}
-    for (s, t), ma in pa.shift_items():
-        mb = pb.shift(s, t)
-        rows = [[ZERO] * dim for _ in range(dim)]
-        for i in range(a):
-            for j in range(b):
-                col = i * b + j
-                for l in range(b):
-                    rows[i * b + l][col] = mb[l, j]
-                bj = pb.init[j]
-                if bj:
-                    for k in range(a):
-                        x = ma[k, i]
-                        if x:
-                            rows[a * b + k][col] = rows[a * b + k][col] + x * bj
-        for i in range(a):
-            col = a * b + i
-            for k in range(a):
-                rows[a * b + k][col] = ma[k, i]
-        shifts[(s, t)] = DenseMatrix.from_rows(rows)
-    return Presentation(pa.p, pa.q, init, shifts, labels)
+    eye_a, one = DenseMatrix.identity(a), DenseMatrix.identity(1)
+    init_b_row = DenseMatrix(1, b, pb.init)
+
+    def blocks(s, t):
+        ma = pa.shift(s, t)
+        return [
+            (0, 0, eye_a, pb.shift(s, t)),
+            (a * b, 0, ma, init_b_row),
+            (a * b, a * b, ma, one),
+        ]
+
+    init = [x * y for x in pa.init for y in pb.init] + list(pa.init)
+    labels = [f"{x}~{y}" for x in pa.labels for y in pb.labels] + list(pa.labels)
+    return _assemble(pa.p, pa.q, a * b + a, init, labels, blocks)
 
 
 # -- minimization ----------------------------------------------------------

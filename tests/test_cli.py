@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -48,9 +49,6 @@ def test_verify_det_with_sign_prefix(capsys):
 
 
 def test_verify_det_rejects_bad_arguments(capsys):
-    code, out, err = run_cli(capsys, "verify-det", "--max-n", "-1")
-    assert code == 2
-    assert err.startswith("error:")
     code, out, err = run_cli(capsys, "verify-det", "--max-n", "3", "--sigma", "+x")
     assert code == 2
     assert err.startswith("error:")
@@ -353,6 +351,26 @@ def test_size_cap_admits_the_bound(capsys, builds, command, flag, cap):
     assert len(builds) == 1
 
 
+NEGATIVE_ARGUMENTS = [
+    ("verify-det --max-n -1", "--max-n must be nonnegative"),
+    ("verify-lu --depth -1", "--depth must lie in 0..8"),
+    ("jfraction --count -1", "--count must be nonnegative"),
+    ("beta-hankel --max-order -1", "--max-order must be nonnegative"),
+    ("gamma-hankel --max-order 1 --offset -1", "--offset must be nonnegative"),
+    ("conjecture-check --trials -1", "--trials and --prefix-len must be nonnegative"),
+    ("conjecture-check --prefix-len -1", "--trials and --prefix-len must be nonnegative"),
+    # with no trials, no per-trial table would check --max-n
+    ("conjecture-check --trials 0 --max-n -3", "--max-n must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("command, message", NEGATIVE_ARGUMENTS)
+def test_negative_arguments_exit_two(capsys, builds, command, message):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert builds == []
+
+
 def write_presentation(path, dim):
     # one letter each side, dim generators, identity shift
     shifts = {(0, 0): DenseMatrix.identity(dim)}
@@ -531,6 +549,24 @@ def test_presentation_rejects_noncanonical_shift_keys(capsys, tmp_path, alias):
     assert code == 2
     assert out == ""
     assert "shift key" in err
+
+
+def test_presentation_refuses_huge_alphabets_at_once(tmp_path):
+    # p * q letter pairs are never listed, so this small file is refused at
+    # once; the child's address space is capped so that a regression fails
+    # with MemoryError instead of filling the machine
+    data = {"p": 10**9, "q": 10**9, "dim": 0, "labels": [], "init": [], "shifts": {}}
+    source = tmp_path / "huge.json"
+    source.write_text(json.dumps(data), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "recqi", "recmat", "eval", str(source), "", ""],
+        capture_output=True,
+        env=child_env(),
+        timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28)),
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"error: shifts must cover exactly the letter pairs\n"
 
 
 def test_presentation_rejects_repeated_json_keys(capsys, tmp_path):

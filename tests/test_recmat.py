@@ -426,6 +426,50 @@ def test_minimize_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == MINIMIZE_DIGESTS[name]
 
 
+# SHA-256 of the JSON text of each binary operation on builtin pairs: the
+# dim-0 operands, the row and column blocks of the sum and the rectangular
+# init block of the convolution all show in these bytes
+BINARY_OPS = {
+    "sum": rec_sum,
+    "product": rec_product,
+    "hadamard": rec_hadamard,
+    "convolve": rec_convolution,
+}
+BINARY_OP_DIGESTS = {
+    ("sum", "H", "D"): "e2c7634d41eae1498eef8ff101126bb007b61de7fd3d883b18154d2669cefe95",
+    ("sum", "L", "U"): "15b1fcb2700970f19060196f02469ce8a9ca56c12f8a375e7067b64de49c044e",
+    ("sum", "E", "H"): "f3344c280c3f7dcff37863c8d590c30fb1a4e3d47c6e80fa6c320d9297be6ae6",
+    ("sum", "H", "zero"): "2862cbebea3a82934e0a97612e1a0f51fd739de72c5a1dd01b442c032a8ef32b",
+    ("sum", "zero", "H"): "2862cbebea3a82934e0a97612e1a0f51fd739de72c5a1dd01b442c032a8ef32b",
+    ("sum", "diag1plusn", "ones"): "e65fa69ce21f1ffed8bd45442b7de4492cef4edff8cb7b0bd0302347165b9ede",
+    ("product", "H", "D"): "1c66c59dad19989593474c64ef8d1df60b9b648aebe950cbd69c15e9aff9b721",
+    ("product", "L", "U"): "05516d120747648f3b8985333a923bcf37da3fecb2a3ca77c3df112ba95d0e1d",
+    ("product", "E", "H"): "846bc39a86b2e7a511478f54b0d6c835e81056da53d3cf6eab4740cb18cd5f12",
+    ("product", "H", "zero"): "cfd47fcccca2c67c8ba2b1a3c17b50f00c0af0bf74fbff5133ad9b6e36d79f28",
+    ("product", "zero", "H"): "cfd47fcccca2c67c8ba2b1a3c17b50f00c0af0bf74fbff5133ad9b6e36d79f28",
+    ("product", "diag1plusn", "ones"): "53022ef9922e9debc38f47b9f423e7b7aba2853f415841bf86cc9a3865faf4a6",
+    ("hadamard", "H", "D"): "d17a94df0dccdd646e98751da2f997b0fa8f0eb614e7b8d0858ee80e8c76066d",
+    ("hadamard", "L", "U"): "2051cf2696bc310f2bb8725ac98cf6a3b37e37c3928da6993fcd0f7198e2e399",
+    ("hadamard", "E", "H"): "3d2c5726ce2c109e10b000e483d9e586c75b766e78d78fe2d84e6eb15c03a1cb",
+    ("hadamard", "H", "zero"): "cfd47fcccca2c67c8ba2b1a3c17b50f00c0af0bf74fbff5133ad9b6e36d79f28",
+    ("hadamard", "zero", "H"): "cfd47fcccca2c67c8ba2b1a3c17b50f00c0af0bf74fbff5133ad9b6e36d79f28",
+    ("hadamard", "diag1plusn", "ones"): "36b001da6e73386cbba5adafd4855e2010dc4c64a7d2bbfde764b3071b229a99",
+    ("convolve", "H", "D"): "7a1603ddb62c7a8ba3a8345f8d131e570419abfec7839760e8f1a09329d2faae",
+    ("convolve", "L", "U"): "cdc8afefc5a97bc774eb2c7438f59e16a56964258e957a5e3f3b0748990664f7",
+    ("convolve", "E", "H"): "8a83d89adaa87735ffc07de4386350a7337385e46d29d933a95ea3e6d69f78e9",
+    ("convolve", "H", "zero"): "cfd47fcccca2c67c8ba2b1a3c17b50f00c0af0bf74fbff5133ad9b6e36d79f28",
+    ("convolve", "zero", "H"): "cfd47fcccca2c67c8ba2b1a3c17b50f00c0af0bf74fbff5133ad9b6e36d79f28",
+    ("convolve", "diag1plusn", "ones"): "c3d540218275b4a28168e9836bdba63cbd1eda6797c25824a1ad06f74082dbbb",
+}
+
+
+@pytest.mark.parametrize("op, left, right", sorted(BINARY_OP_DIGESTS))
+def test_binary_op_bytes_are_pinned(op, left, right):
+    text = BINARY_OPS[op](builtin(left), builtin(right)).to_json_text()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == BINARY_OP_DIGESTS[(op, left, right)]
+
+
 def test_minimize_bytes_of_the_lu_product():
     # L.U represents H, and its minimal presentation has the same bytes
     text = minimize(rec_product(L, builtin("U"))).to_json_text()
