@@ -233,6 +233,8 @@ def cmd_recmat_unfold(args) -> int:
             f"--depth {args.depth} unfolds {cells} cells x {pres.dim} generators,"
             f" more than the cap of {MAX_UNFOLD_VALUES} values"
         )
+    # the deepest level p*q >= 2 reaches under the cell cap; p = q = 1 stops there too
+    _check_cap("--depth", args.depth, MAX_UNFOLD_CELLS.bit_length() - 1)
     matrix = unfold(pres, args.depth)
     if args.format == "json":
         rows = [

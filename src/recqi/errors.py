@@ -23,11 +23,9 @@ class DegeneracyError(ArithmeticError):
 
     ``level`` is the order of the first vanishing determinant (equivalently,
     the index of the zero pivot in a fraction-free elimination, counting the
-    1x1 leading block as level 1). ``minors``, when a leading-minor
-    computation raised it, lists the input's minors of orders 0..level-1.
+    1x1 leading block as level 1).
     """
 
-    def __init__(self, message: str, level: int, minors: list | None = None):
+    def __init__(self, message: str, level: int):
         super().__init__(message)
         self.level = level
-        self.minors = minors

@@ -71,11 +71,11 @@ def jfraction_from_moments(moments, depth: int) -> JFraction:
 
         u_k = T_k(k+1)/D(k+1) - T_(k-1)(k)/D(k),  v_k = D(k+1) D(k-1) / D(k)^2.
 
-    The recurrence clears the denominators of rational moments itself. A
-    vanishing D(k), k <= depth + 1, raises DegeneracyError(level=k). The
-    result is re-expanded through continued-fraction convergents and
-    compared against every moment through index 2*depth; that match fixes
-    u and v uniquely, so it checks each of them.
+    The recurrence clears the denominators of rational moments itself and
+    gives vanishing minors as 0; the first, D(k) with k <= depth + 1, raises
+    DegeneracyError(level=k). The result is re-expanded through convergents
+    and compared against every moment through index 2*depth; that match
+    fixes u and v uniquely, so it checks each of them.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -86,6 +86,9 @@ def jfraction_from_moments(moments, depth: int) -> JFraction:
     if depth == 0:
         return JFraction((), ())
     minors, upper = hankel_recurrence(c)
+    if ZERO in minors:
+        k = minors.index(ZERO)
+        raise DegeneracyError(f"leading principal minor of order {k} vanishes", level=k)
     ratios = [ZERO] + [t / d for t, d in zip(upper, minors[1:])]
     u = [b - a for a, b in zip(ratios, ratios[1:])]
     v = [

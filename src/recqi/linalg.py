@@ -5,9 +5,10 @@ membership, the reduced row echelon form and kernels. Determinants have two
 independent routes: plain field elimination (:func:`det_field`, any
 Gaussian-rational matrix, the tests' reference) and fraction-free Bareiss
 elimination (big-int kernel, no rational blowup). All leading principal
-minors of a Hankel matrix come from an O(n^2) fraction-free Chebyshev
-recurrence instead, whose rows are the pivot rows the elimination would
-produce; the same pass gives the J-fraction coefficients of
+minors of a Hankel matrix come from an O(n^2) fraction-free recurrence
+instead, whose rows are the pivot rows the elimination would produce; it
+steps over each square block of vanishing minors, so one pass gives every
+minor, zeros included, and the J-fraction coefficients of
 :mod:`recqi.jacobi`. The fraction-free routes take any Q(i) input: they run
 on L times it, L the least common multiple of its denominators, and divide
 an order-k minor by L^k, so callers never scale. Pivoting always takes the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import reduce
 
 from .errors import DegeneracyError
 from .gaussian import (
@@ -350,19 +352,16 @@ def det_bareiss(m: DenseMatrix) -> GaussianRational:
 def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
     """All leading principal minors of a Q(i) matrix, fraction-free.
 
-    Returns [det of 0x0, det of 1x1, ..., det of nxn]. Raises
-    :class:`DegeneracyError` naming the order of the first vanishing minor,
-    with the minors of the lower orders attached, since neither route can
-    continue past it. Both routes run in Z[i] on L*m, L the least common
-    multiple of the denominators, and divide the order-k minor by L^k.
-
-    A Hankel input, entry (s, t) equal to c(s + t) for 2n-1 values c, takes
-    the O(n^2) Chebyshev recurrence of :func:`_hankel_minors`, whose
-    divisions are exact because every value it divides is a minor of the
-    input. Any other input takes one O(n^3) Bareiss elimination, where the
-    pivot after step k is the order-(k+1) leading minor. The tests check
-    the recurrence against that elimination, :func:`det_field`, a cofactor
-    oracle and the folding product.
+    Returns [det of 0x0, det of 1x1, ..., det of nxn]. Both routes run in
+    Z[i] on L*m, L the least common multiple of the denominators, and divide
+    the order-k minor by L^k. A Hankel input, entry (s, t) equal to c(s + t)
+    for 2n-1 values c, takes the O(n^2) recurrence of :func:`_hankel_minors`,
+    which returns each block of vanishing minors as zeros. Any other input
+    takes one O(n^3) Bareiss elimination (the pivot after step k is the
+    order-(k+1) minor), which raises :class:`DegeneracyError` naming the
+    order of the first vanishing minor. The tests check the recurrence
+    against the elimination, :func:`det_field`, a cofactor oracle and the
+    folding product.
     """
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
@@ -373,8 +372,8 @@ def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
 
 
 def hankel_recurrence(values) -> tuple[list, list]:
-    """Minors D(0..n) and entries T_k(k+1), k <= n-2, of the Hankel matrix of
-    the Q(i) values c(0..2n-2), by the recurrence of _hankel_minors."""
+    """Minors D(0..n) and entries T_k(k+1) of the Hankel matrix of the Q(i)
+    values c(0..2n-2), as the recurrence of _hankel_minors returns them."""
     return _hankel_minors(*_int_parts(values))
 
 
@@ -401,12 +400,25 @@ def _elimination_minors(m: DenseMatrix) -> list[GaussianRational]:
     for k in range(n):
         dr, di = re[k][k], im[k][k]
         if dr == 0 and di == 0:
-            raise _vanishing_minor(minors, scale)
+            raise DegeneracyError(
+                f"leading principal minor of order {k + 1} vanishes", level=k + 1
+            )
         minors.append(GaussianRational(dr, di))
         if k < n - 1:
             _bareiss_step(re, im, k, n, dr, di, pr, pi)
         pr, pi = dr, di
     return _divide_powers(minors, scale)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two Gaussian integers held as (re, im) int pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _div(x: tuple, y: tuple) -> tuple:
+    """Exact quotient x / y of two Gaussian integers held as int pairs."""
+    nrm = y[0] * y[0] + y[1] * y[1]
+    return tuple(v // nrm for v in _mul(x, (y[0], -y[1])))
 
 
 def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
@@ -415,70 +427,92 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
 
     T_k(l) is the determinant of rows 0..k and columns 0..k-1 and l of the
     infinite Hankel matrix: the pivot-row entry in column l after k Bareiss
-    steps, so D(k+1) = T_k(k) is the order-(k+1) minor. With T_0(l) = c(l),
-    T_-1 = 0 and D(0) = 1, the Chebyshev (qd) recurrence
+    steps, so D(k+1) = T_k(k) is the order-(k+1) minor. Hankel minors vanish
+    in square blocks (Brown-Traub's subresultant theorem), so each step goes
+    from a row k with D(k) != 0 to the next such row. Let p be the row
+    computed before k (T_-1 = 0, and T_p(k-1) = 1 at k = 0), m >= k the first
+    column below n with tau = T_k(m) != 0 (if none, every later minor is 0),
+    h = m - k + 1 and s = (-1)^(h(h-1)/2). Then D(k+1..m) = 0,
+    D(k+h) = s tau^h / D(k)^(h-1) and, for k+h <= l <= 2n-2-k-h,
 
-        D(k)^2 T_{k+1}(l) = D(k+1) D(k) T_k(l+1)
-                            - (D(k) T_k(k+1) - D(k+1) T_{k-1}(k)) T_k(l)
-                            - D(k+1)^2 T_{k-1}(l)
+        D(k)^h T_p(k-1) T_{k+h}(l) = s (sum_j q_j T_k(l+j) - tau^(h+1) T_p(l))
 
-    gives each row from the two before, for k+1 <= l <= 2n-3-k. Every T is
-    a minor of a Gaussian-integer matrix, so the division is exact in Z[i];
-    it is done as a product with conj(D(k)^2), folded into the three row
-    coefficients, and two integer floor divisions by |D(k)|^4. Returns the
-    minors D(0..n) and the entries T_k(k+1) the recurrence reads, k <= n-2,
-    of c itself: D(k) of L*c divided by L^k, T_k(k+1) by L^(k+1).
+    with q_h..q_0 from sum_j q_j T_k(l+j) = tau^(h+1) T_p(l), l = k-1..m, by
+    back substitution. At h = 1, the Chebyshev (qd) recurrence, q_1 and q_0
+    are written out. Every T is a minor of a Gaussian-integer matrix, so each
+    division is exact in Z[i]: a product with the divisor's conjugate, folded
+    into three row coefficients, then two floor divisions by its norm.
+    Returns D(0..n) and T_k(k+1) for k <= n-2 while D(1..k) != 0, of c
+    itself: D(k) of L*c divided by L^k, T_k(k+1) by L^(k+1).
     """
     size = len(cur_re)
     n = (size + 1) // 2
     prev_re = prev_im = [0] * size
-    dr, di = 1, 0
+    d = e = (1, 0)  # D(k) and T_p(k-1)
     minors = [ONE]
     upper = []
-    for k in range(n):
-        ar, ai = cur_re[k], cur_im[k]
-        if not (ar or ai):
-            raise _vanishing_minor(minors, scale)
-        minors.append(GaussianRational(ar, ai))
-        if k == n - 1:
+    k = 0
+    while k < n:
+        if len(upper) == k < n - 1:
+            upper.append(GaussianRational(cur_re[k + 1], cur_im[k + 1]))
+        m = next((l for l in range(k, n) if cur_re[l] or cur_im[l]), n)
+        minors += [ZERO] * (m - k)
+        if m == n:
             break
-        sr, si = dr * dr - di * di, -2 * dr * di  # conj(D(k)^2)
-        nrm = sr * sr + si * si
-        # a = D(k+1) D(k), b = D(k) T_k(k+1) - D(k+1) T_{k-1}(k), c = D(k+1)^2
-        xr, xi = cur_re[k + 1], cur_im[k + 1]
-        upper.append(GaussianRational(xr, xi))
-        zr, zi = prev_re[k], prev_im[k]
-        tr, ti = ar * dr - ai * di, ar * di + ai * dr
-        ur = dr * xr - di * xi - ar * zr + ai * zi
-        ui = dr * xi + di * xr - ar * zi - ai * zr
-        vr, vi = ar * ar - ai * ai, 2 * ar * ai
-        a_r, a_i = tr * sr - ti * si, tr * si + ti * sr
-        b_r, b_i = ur * sr - ui * si, ur * si + ui * sr
-        c_r, c_i = vr * sr - vi * si, vr * si + vi * sr
-        nxt_re = [0] * size
-        nxt_im = [0] * size
-        for l in range(k + 1, size - 1 - k):
-            xr, xi = cur_re[l + 1], cur_im[l + 1]
+        h = m - k + 1
+        tau = tr, ti = cur_re[m], cur_im[m]
+        s = -1 if h % 4 > 1 else 1
+        th = reduce(_mul, [tau] * h)
+        d_next = _div((s * th[0], s * th[1]), reduce(_mul, [d] * (h - 1), (1, 0)))
+        minors.append(GaussianRational(*d_next))
+        if k + h == n:
+            break
+        th1 = _mul(th, tau)
+        if h == 1:
+            (er, ei), (xr, xi) = e, (cur_re[k + 1], cur_im[k + 1])
+            zr, zi = prev_re[k], prev_im[k]
+            a_r, a_i = tr * er - ti * ei, tr * ei + ti * er
+            b_r = tr * zr - ti * zi - er * xr + ei * xi
+            b_i = tr * zi + ti * zr - er * xi - ei * xr
+            x_re, x_im = cur_re, cur_im
+        else:
+            q = [None] * h + [_mul(th, e)]
+            for i in range(1, h + 1):
+                acc = _mul(th1, (prev_re[k - 1 + i], prev_im[k - 1 + i]))
+                for t in range(1, i + 1):
+                    y = _mul(q[h - i + t], (cur_re[m + t], cur_im[m + t]))
+                    acc = acc[0] - y[0], acc[1] - y[1]
+                q[h - i] = _div(acc, tau)
+            # the shifts j >= 1 folded into one row, read at l + 1 like T_k
+            x_re, x_im = [0] * size, [0] * size
+            for l in range(k + h, size - k - h):
+                for j in range(1, h + 1):
+                    y = _mul(q[j], (cur_re[l + j], cur_im[l + j]))
+                    x_re[l + 1] += y[0]
+                    x_im[l + 1] += y[1]
+            (a_r, a_i), (b_r, b_i) = (1, 0), q[0]
+        # s times the divisor's conjugate, folded into the row coefficients
+        gr, gi = reduce(_mul, [d] * h, e)
+        nrm = gr * gr + gi * gi
+        gr, gi = s * gr, -s * gi
+        a_r, a_i = a_r * gr - a_i * gi, a_r * gi + a_i * gr
+        b_r, b_i = b_r * gr - b_i * gi, b_r * gi + b_i * gr
+        c_r, c_i = _mul(th1, (gr, gi))
+        nxt_re, nxt_im = [0] * size, [0] * size
+        for l in range(k + h, size - k - h):
+            xr, xi = x_re[l + 1], x_im[l + 1]
             yr, yi = cur_re[l], cur_im[l]
             zr, zi = prev_re[l], prev_im[l]
             nxt_re[l] = (
-                a_r * xr - a_i * xi - b_r * yr + b_i * yi - c_r * zr + c_i * zi
+                a_r * xr - a_i * xi + b_r * yr - b_i * yi - c_r * zr + c_i * zi
             ) // nrm
             nxt_im[l] = (
-                a_r * xi + a_i * xr - b_r * yi - b_i * yr - c_r * zi - c_i * zr
+                a_r * xi + a_i * xr + b_r * yi + b_i * yr - c_r * zi - c_i * zr
             ) // nrm
         prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, nxt_re, nxt_im
-        dr, di = ar, ai
+        d, e = d_next, tau
+        k += h
     return _divide_powers(minors, scale), _divide_powers(upper, scale, 1)
-
-
-def _vanishing_minor(minors: list, scale: int) -> DegeneracyError:
-    order = len(minors)
-    return DegeneracyError(
-        f"leading principal minor of order {order} vanishes",
-        level=order,
-        minors=_divide_powers(minors, scale),
-    )
 
 
 class SpanBasis:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import DegeneracyError, ParseError
+from .errors import ParseError
 from .gaussian import (
     ZERO,
     ONE,
@@ -20,7 +20,7 @@ from .gaussian import (
     as_gaussian,
     pow_i,
 )
-from .linalg import DenseMatrix, bareiss_leading_minors, det_bareiss
+from .linalg import DenseMatrix, bareiss_leading_minors
 
 
 def tau(n: int) -> int:
@@ -234,14 +234,7 @@ def hankel_det_table(
     """[det of order 0, ..., det of order max_order] Hankel determinants.
 
     One pass of the leading-minor recurrence gives every determinant at
-    once, for Gaussian-integer and rational values alike. If a leading
-    minor vanishes, the orders from there up get one fraction-free
-    determinant each.
+    once, for Gaussian-integer and rational values alike; it steps over
+    each run of vanishing minors and returns them as zeros.
     """
-    try:
-        return bareiss_leading_minors(hankel(seq, offset, max_order))
-    except DegeneracyError as exc:
-        dets = exc.minors
-    for k in range(len(dets), max_order + 1):
-        dets.append(det_bareiss(hankel(seq, offset, k)))
-    return dets
+    return bareiss_leading_minors(hankel(seq, offset, max_order))

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, table contents, file outputs."""
 
+import hashlib
 import json
 import os
 import re
@@ -147,6 +148,31 @@ def test_beta_hankel_offset_zero_is_not_unit(capsys):
     assert err.strip() == "0/1 rows match"
 
 
+@pytest.mark.parametrize(
+    "command, summary, digest",
+    [
+        (
+            "beta-hankel",
+            "11/80 rows match",
+            "530850df03eddb16d64e817e91bf3b8daff4e3c51b1c230c7d81033ca76cccb2",
+        ),
+        (
+            "gamma-hankel",
+            "0/80 rows match",
+            "064ca951bb76791c0073746f4c859483dcb164da8cbc29bbe0d453134ecc638f",
+        ),
+    ],
+    ids=["beta", "gamma"],
+)
+def test_degenerate_tables_keep_their_bytes(capsys, command, summary, digest):
+    # offset 0 has vanishing minors; the digests were recorded when each order
+    # from the first of them on took its own fraction-free determinant
+    code, out, err = run_cli(capsys, command, "--max-order", "80", "--offset", "0")
+    assert code == 1
+    assert err == summary + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gamma_hankel_table(capsys):
     code, out, err = run_cli(capsys, "gamma-hankel", "--max-order", "4")
     assert code == 0
@@ -267,6 +293,29 @@ def test_unfold_cap_counts_the_alphabets(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "513^2 x 1^2 cells, more than the cap of 262144" in err
+
+
+def test_unfold_caps_the_depth_of_one_letter_presentations(capsys, tmp_path):
+    # p = q = 1 keeps one cell at every depth; the depth cap of 18 is the
+    # deepest level any larger alphabet reaches under the cell cap
+    data = {
+        "p": 1,
+        "q": 1,
+        "dim": 1,
+        "labels": ["a"],
+        "init": ["1"],
+        "shifts": {"0,0": [["1+1i"]]},
+    }
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "recmat", "unfold", str(one), "--depth", "18")
+    # (1 + i)^18 = (2i)^9
+    assert (code, out, err) == (0, "512i\n", "")
+    for depth in ("19", "1000000000"):
+        code, out, err = run_cli(capsys, "recmat", "unfold", str(one), "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --depth {depth} is more than the cap of 18\n"
 
 
 def test_unfold_cap_counts_the_generators(capsys, tmp_path):

@@ -199,11 +199,18 @@ def test_leading_minors_match_per_order_determinants():
 
 
 def test_leading_minors_degeneracy_level():
+    # Hankel input steps over its vanishing minors; any other input stops
+    # at the first one and names its order
+    for rows in ([[0, 1], [1, 0]], [[1, 1], [1, 1]]):
+        m = DenseMatrix.from_rows(rows)
+        minors = bareiss_leading_minors(m)
+        assert minors == [det_field(leading_block(m, k)) for k in range(3)]
+        assert ZERO in minors
     with pytest.raises(DegeneracyError) as info:
-        bareiss_leading_minors(DenseMatrix.from_rows([[0, 1], [1, 0]]))
+        bareiss_leading_minors(DenseMatrix.from_rows([[0, 1], [2, 0]]))
     assert info.value.level == 1
     with pytest.raises(DegeneracyError) as info:
-        bareiss_leading_minors(DenseMatrix.from_rows([[1, 1], [1, 1]]))
+        bareiss_leading_minors(DenseMatrix.from_rows([[1, 1], [2, 2]]))
     assert info.value.level == 2
     assert bareiss_leading_minors(DenseMatrix(0, 0, ())) == [ONE]
 
@@ -213,16 +220,9 @@ def hankel_matrix(values):
     return DenseMatrix(n, n, [values[s + t] for s in range(n) for t in range(n)])
 
 
-def minors_or_level(route, m):
-    try:
-        return route(m)
-    except DegeneracyError as exc:
-        assert len(exc.minors) == exc.level
-        return ("degenerate", exc.level, exc.minors)
-
-
 def test_hankel_route_matches_elimination_on_random_matrices():
-    # small spans make vanishing leading minors common
+    # small spans make vanishing leading minors common; the elimination
+    # stops at the first, the recurrence gives every order, zeros included
     rng = random.Random(2024)
     degenerate = 0
     for _ in range(600):
@@ -230,9 +230,13 @@ def test_hankel_route_matches_elimination_on_random_matrices():
         span = rng.choice((1, 2, 6))
         values = [random_gaussian_integer(rng, span) for _ in range(2 * n - 1)]
         m = hankel_matrix(values)
-        fast = minors_or_level(bareiss_leading_minors, m)
-        assert fast == minors_or_level(linalg._elimination_minors, m)
-        degenerate += isinstance(fast, tuple)
+        fast = bareiss_leading_minors(m)
+        assert fast == [det_bareiss(leading_block(m, k)) for k in range(n + 1)]
+        try:
+            assert fast == linalg._elimination_minors(m)
+        except DegeneracyError as exc:
+            assert fast.index(ZERO) == exc.level
+            degenerate += 1
     assert degenerate > 20
 
 
@@ -241,12 +245,10 @@ def test_hankel_route_against_cofactor_and_field_determinants():
     for _ in range(60):
         n = rng.randint(1, 5)
         m = hankel_matrix([random_gaussian_integer(rng, 5) for _ in range(2 * n - 1)])
-        try:
-            minors = bareiss_leading_minors(m)
-        except DegeneracyError as exc:
-            minors = exc.minors
-        for k in range(1, len(minors)):
-            block = DenseMatrix.from_rows([[m[r, c] for c in range(k)] for r in range(k)])
+        minors = bareiss_leading_minors(m)
+        assert len(minors) == n + 1
+        for k in range(1, n + 1):
+            block = leading_block(m, k)
             assert minors[k] == det_cofactor(block) == det_field(block)
 
 
@@ -294,17 +296,57 @@ def test_leading_minors_of_rational_matrices(hankel_input):
             m = DenseMatrix(n, n, [random_rational(rng, span) for _ in range(n * n)])
         if (linalg._hankel_values(m) is not None) != hankel_input:
             continue  # an order-1 or all-zero matrix is Hankel too
+        expected = [det_field(leading_block(m, k)) for k in range(n + 1)]
+        degenerate += ZERO in expected
+        if hankel_input:
+            # the minors of m, not of m times L, zeros included
+            assert bareiss_leading_minors(m) == expected
+            continue
         try:
-            minors = bareiss_leading_minors(m)
+            assert bareiss_leading_minors(m) == expected
         except DegeneracyError as exc:
-            # the attached minors are those of m, not of m times L
-            minors = exc.minors
-            assert len(minors) == exc.level
-            assert det_field(leading_block(m, exc.level)) == ZERO
-            degenerate += 1
-        for k, minor in enumerate(minors):
-            assert minor == det_field(leading_block(m, k))
+            assert exc.level == expected.index(ZERO)
     assert degenerate > 40
+
+
+def zero_runs(minors):
+    """Lengths of the runs of vanishing minors of orders >= 1, each with
+    whether a nonzero minor closes it."""
+    runs, length = [], 0
+    for d in minors[1:]:
+        if d and length:
+            runs.append((length, True))
+        length = 0 if d else length + 1
+    return runs + [(length, False)] * bool(length)
+
+
+def test_hankel_minors_step_over_zero_runs():
+    # each sequence is a few blocks: a run of zeros closed by one value, so
+    # the minors vanish in runs of several orders inside and at the end
+    rng = random.Random(2026)
+    degenerate = closed = 0
+    longest = 0
+    for trial in range(1200):
+        n = rng.randint(1, 12)
+        values = []
+        while len(values) < 2 * n - 1:
+            values += [ZERO] * rng.choice((0, 0, 0, 1, 2, 3, 5, 8))
+            if trial % 2:
+                values.append(random_rational(rng, 3) or ONE)
+            else:
+                values.append(random_gaussian_integer(rng, rng.choice((1, 2))) or ONE)
+        values = values[: 2 * n - 1]
+        m = hankel_matrix(values)
+        expected = [det_field(leading_block(m, k)) for k in range(n + 1)]
+        if trial % 3:
+            assert bareiss_leading_minors(m) == expected
+        else:
+            assert linalg.hankel_recurrence(values)[0] == expected
+        runs = zero_runs(expected)
+        degenerate += bool(runs)
+        closed += any(length > 1 and ok for length, ok in runs)
+        longest = max([longest] + [length for length, ok in runs if ok])
+    assert degenerate >= 100 and closed >= 100 and longest >= 5
 
 
 def test_hankel_recurrence_of_rational_values():
@@ -313,11 +355,10 @@ def test_hankel_recurrence_of_rational_values():
         n = rng.randint(2, 6)
         values = [random_rational(rng, 5) for _ in range(2 * n - 1)]
         m = hankel_matrix(values)
-        try:
-            minors, upper = linalg.hankel_recurrence(values)
-        except DegeneracyError:
-            continue
+        minors, upper = linalg.hankel_recurrence(values)
         assert minors == [det_field(leading_block(m, k)) for k in range(n + 1)]
+        # T_k(k+1) is given while D(1..k) != 0
+        assert len(upper) == min(n - 1, (minors + [ZERO]).index(ZERO, 1))
         # T_k(k+1): rows 0..k, columns 0..k-1 and k+1
         for k, t in enumerate(upper):
             cols = [*range(k), k + 1]
@@ -326,19 +367,18 @@ def test_hankel_recurrence_of_rational_values():
 
 
 def test_degeneracy_carries_unscaled_minors():
-    # vanishes at order 3; the denominators give L = 6
+    # vanishes at order 3 only; the denominators give L = 6
     factor = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
     values = [factor * x for x in ints(1, 0, 1, 0, 1, 1, 1, 1, -1)]
     m = hankel_matrix(values)
-    expected = [det_field(leading_block(m, k)) for k in range(3)]
-    assert expected[2] == factor * factor and det_field(leading_block(m, 3)) == ZERO
-    for route in (bareiss_leading_minors, linalg._elimination_minors):
-        with pytest.raises(DegeneracyError) as info:
-            route(m)
-        assert (info.value.level, info.value.minors) == (3, expected)
+    expected = [det_field(leading_block(m, k)) for k in range(6)]
+    assert expected[2] == factor * factor and expected[3] == ZERO
+    assert all(expected[4:])
+    assert bareiss_leading_minors(m) == expected
+    assert linalg.hankel_recurrence(values)[0] == expected
     with pytest.raises(DegeneracyError) as info:
-        linalg.hankel_recurrence(values)
-    assert info.value.minors == expected
+        linalg._elimination_minors(m)
+    assert info.value.level == 3
 
 
 def test_span_basis():

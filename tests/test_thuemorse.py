@@ -249,8 +249,8 @@ def test_hankel_det_table_fast_path():
 
 
 def test_hankel_det_table_degenerate_fallback():
-    # constant sequence: the order-2 leading minor vanishes, so the one-pass
-    # route degenerates and the per-order fallback must take over
+    # constant sequence: every minor from order 2 on vanishes, and the one
+    # pass steps over the run and returns them as zeros
     dets = hankel_det_table(lambda n: ONE, 0, 3)
     assert dets == [ONE, ONE, ZERO, ZERO]
 
@@ -274,7 +274,7 @@ def test_hankel_det_table_keeps_minors_below_the_degeneracy(monkeypatch):
     monkeypatch.setattr(thuemorse, "hankel", spy_hankel)
     monkeypatch.setattr(linalg, "det_field", no_field)
     dets = hankel_det_table(seq, 0, 5)
-    assert built == [5, 3, 4, 5]
+    assert built == [5]
     assert [str(d) for d in dets] == ["1", "1", "1", "0", "-1", "3"]
     for n in range(1, 6):
         assert dets[n] == det_field(hankel(seq, 0, n))
@@ -283,7 +283,7 @@ def test_hankel_det_table_keeps_minors_below_the_degeneracy(monkeypatch):
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_hankel_det_table_rational_values(degenerate):
     # a common factor with denominators 2 and 3 keeps a vanishing order-3
-    # minor, so the scaled minors and the per-order fallback both run
+    # minor, so the scaled minors and the block step both run
     values = [moment(n) for n in range(9)]
     if degenerate:
         values = [1, 0, 1, 0, 1, 1, 1, 1, -1]
@@ -302,10 +302,43 @@ def test_hankel_det_table_rational_route_skips_fraction_free(monkeypatch):
     def no_bareiss(m):
         raise AssertionError("rational sequence went through det_bareiss")
 
-    monkeypatch.setattr(thuemorse, "det_bareiss", no_bareiss)
+    monkeypatch.setattr(linalg, "det_bareiss", no_bareiss)
     beta = beta_coeffs(1 + 16)
     dets = hankel_det_table(beta.coefficient, 1, 8)
     assert [str(d) for d in dets] == ["1", "1", "1i", "1i", "-1", "-1", "-1i", "-1i", "1"]
+
+
+@pytest.mark.parametrize("coeffs", [beta_coeffs, gamma_coeffs])
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_difference_tables_match_per_order_determinants(coeffs, offset):
+    # beta at offsets 0 and 2 and gamma at offsets 0 and 1 have vanishing
+    # minors below order 40
+    series = coeffs(offset + 80)
+    dets = hankel_det_table(series.coefficient, offset, 40)
+    for n in range(41):
+        assert dets[n] == linalg.det_bareiss(hankel(series.coefficient, offset, n))
+
+
+def test_degenerate_table_takes_one_pass(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(thuemorse, name, wrapped)
+
+    def no_bareiss(m):
+        raise AssertionError("a Hankel table went through det_bareiss")
+
+    spy("hankel", hankel)
+    spy("bareiss_leading_minors", bareiss_leading_minors)
+    monkeypatch.setattr(linalg, "det_bareiss", no_bareiss)
+    beta = beta_coeffs(80)
+    dets = hankel_det_table(beta.coefficient, 0, 40)
+    assert calls == ["hankel", "bareiss_leading_minors"]
+    assert [k for k, d in enumerate(dets) if not d] == [5, 8, 35, 38]
 
 
 def test_hankel_det_table_lets_other_value_errors_through(monkeypatch):
