@@ -6,7 +6,7 @@ A series c(x) = sum c_n x^n with nonvanishing Hankel determinants expands as
 
 The coefficients come out of the same fraction-free Chebyshev recurrence
 that gives the leading Hankel minors (:mod:`recqi.linalg`); a vanishing
-minor raises :class:`DegeneracyError` naming its order.
+minor raises :class:`DegeneracyError`; the series re-expands along Motzkin paths.
 
 For the digit-sum moments i^tau(n) the coefficients follow closed forms:
 u_n = (-1)^n * i, and v_n obeys a base-2 self-similar recursion starting
@@ -73,7 +73,7 @@ def jfraction_from_moments(moments, depth: int) -> JFraction:
 
     The recurrence clears the denominators of rational moments itself and
     gives vanishing minors as 0; the first, D(k) with k <= depth + 1, raises
-    DegeneracyError(level=k). The result is re-expanded through convergents
+    DegeneracyError(level=k). The result is re-expanded along Motzkin paths
     and compared against every moment through index 2*depth; that match
     fixes u and v uniquely, so it checks each of them.
     """
@@ -105,36 +105,30 @@ def jfraction_from_moments(moments, depth: int) -> JFraction:
 def jfraction_to_series(jf: JFraction, c0, order: int) -> SeriesTruncation:
     """Taylor coefficients 0..order of the continued fraction times c0.
 
-    The unknown tail below level `depth` is replaced by the constant 1,
-    which leaves every coefficient through x^(2*depth) untouched. The
-    convergent num/den is built from the bottom level up, each level by
-
-        num' = den,  den' = den - u_k x den - v_(k+1) x^2 num,
-
-    and expanded by one exact power-series division (den has constant 1).
+    Coefficient n is c0 times the weight of the Motzkin paths of length n
+    from height 0 back to 0 (Flajolet 1980): an up step weighs 1, a level
+    step at height k u_k and a down step from height k v_k. The unknown tail
+    below level `depth` is replaced by 1, which leaves every coefficient
+    through x^(2*depth) untouched: no step is taken at height `depth`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     c0 = as_gaussian(c0)
-    num = [ONE] + [ZERO] * order
-    den = list(num)
-    for k in range(jf.depth - 1, -1, -1):
-        u, v = jf.u_coeff(k), jf.v_coeff(k + 1)
-        nxt = list(den)
-        for j in range(order):
-            if den[j]:
-                nxt[j + 1] = nxt[j + 1] - u * den[j]
-            if num[j] and j + 2 <= order:
-                nxt[j + 2] = nxt[j + 2] - v * num[j]
-        num, den = den, nxt
-    series = []
-    for n in range(order + 1):
-        acc = num[n]
-        for j in range(1, n + 1):
-            if den[j]:
-                acc = acc - den[j] * series[n - j]
-        series.append(acc)
-    return SeriesTruncation([c0 * x for x in series])
+    u, v = jf.u + (ZERO,), jf.v + (ZERO,)  # v[k]: the step down to height k
+    series, w = [c0], [ONE]  # w[k]: weight of the paths so far ending at k
+    for n in range(1, order + 1):
+        below = [ZERO] + w + [ZERO, ZERO]  # w[k - 1] at index k
+        w = []
+        # paths above order - n cannot get back to 0 by step order
+        for k in range(min(n, order - n, jf.depth) + 1):
+            acc = below[k]
+            if below[k + 1]:
+                acc = acc + u[k] * below[k + 1]
+            if below[k + 2]:
+                acc = acc + v[k] * below[k + 2]
+            w.append(acc)
+        series.append(c0 * w[0])
+    return SeriesTruncation(series)
 
 
 def u_formula(n: int) -> GaussianRational:

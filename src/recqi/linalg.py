@@ -438,8 +438,8 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
         D(k)^h T_p(k-1) T_{k+h}(l) = s (sum_j q_j T_k(l+j) - tau^(h+1) T_p(l))
 
     with q_h..q_0 from sum_j q_j T_k(l+j) = tau^(h+1) T_p(l), l = k-1..m, by
-    back substitution. At h = 1, the Chebyshev (qd) recurrence, q_1 and q_0
-    are written out. Every T is a minor of a Gaussian-integer matrix, so each
+    back substitution; at h = 1, the Chebyshev (qd) recurrence, the sum reads
+    T_k itself. Every T is a minor of a Gaussian-integer matrix, so each
     division is exact in Z[i]: a product with the divisor's conjugate, folded
     into three row coefficients, then two floor divisions by its norm.
     Returns D(0..n) and T_k(k+1) for k <= n-2 while D(1..k) != 0, of c
@@ -460,7 +460,7 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
         if m == n:
             break
         h = m - k + 1
-        tau = tr, ti = cur_re[m], cur_im[m]
+        tau = cur_re[m], cur_im[m]
         s = -1 if h % 4 > 1 else 1
         th = reduce(_mul, [tau] * h)
         d_next = _div((s * th[0], s * th[1]), reduce(_mul, [d] * (h - 1), (1, 0)))
@@ -468,29 +468,24 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
         if k + h == n:
             break
         th1 = _mul(th, tau)
+        q = [None] * h + [_mul(th, e)]
+        for i in range(1, h + 1):
+            acc = _mul(th1, (prev_re[k - 1 + i], prev_im[k - 1 + i]))
+            for t in range(1, i + 1):
+                y = _mul(q[h - i + t], (cur_re[m + t], cur_im[m + t]))
+                acc = acc[0] - y[0], acc[1] - y[1]
+            q[h - i] = _div(acc, tau)
         if h == 1:
-            (er, ei), (xr, xi) = e, (cur_re[k + 1], cur_im[k + 1])
-            zr, zi = prev_re[k], prev_im[k]
-            a_r, a_i = tr * er - ti * ei, tr * ei + ti * er
-            b_r = tr * zr - ti * zi - er * xr + ei * xi
-            b_i = tr * zi + ti * zr - er * xi - ei * xr
-            x_re, x_im = cur_re, cur_im
+            (a_r, a_i), x_re, x_im = q[1], cur_re, cur_im
         else:
-            q = [None] * h + [_mul(th, e)]
-            for i in range(1, h + 1):
-                acc = _mul(th1, (prev_re[k - 1 + i], prev_im[k - 1 + i]))
-                for t in range(1, i + 1):
-                    y = _mul(q[h - i + t], (cur_re[m + t], cur_im[m + t]))
-                    acc = acc[0] - y[0], acc[1] - y[1]
-                q[h - i] = _div(acc, tau)
             # the shifts j >= 1 folded into one row, read at l + 1 like T_k
-            x_re, x_im = [0] * size, [0] * size
+            (a_r, a_i), x_re, x_im = (1, 0), [0] * size, [0] * size
             for l in range(k + h, size - k - h):
                 for j in range(1, h + 1):
                     y = _mul(q[j], (cur_re[l + j], cur_im[l + j]))
                     x_re[l + 1] += y[0]
                     x_im[l + 1] += y[1]
-            (a_r, a_i), (b_r, b_i) = (1, 0), q[0]
+        b_r, b_i = q[0]
         # s times the divisor's conjugate, folded into the row coefficients
         gr, gi = reduce(_mul, [d] * h, e)
         nrm = gr * gr + gi * gi

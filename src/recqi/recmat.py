@@ -514,15 +514,25 @@ def _dot(xs, ys) -> GaussianRational:
     return sum((x * y for x, y in zip(xs, ys) if y), ZERO)
 
 
+# builtin compositions stay under 2^8 bits; dense entries double every 2 dims
+MAX_ORBIT_BITS = 2**12
+
+
 def _orbit_span(seed, actions) -> SpanBasis:
     """Span of seed and of its images under every word over the actions:
     the reachable span takes transposed columns, the observation span (the
-    orbit of the init row) plain ones."""
+    orbit of the init row) plain ones. Raises ValueError past MAX_ORBIT_BITS."""
     span = SpanBasis(len(seed))
     first = span.add(seed)
     work = [] if first is None else [first]
     while work:
         vec = work.pop()
+        bits = max(abs(z) for x in vec for z in x.integer_parts()).bit_length()
+        if bits > MAX_ORBIT_BITS:
+            raise ValueError(
+                f"an orbit vector has an entry of {bits} bits,"
+                f" more than the cap of {MAX_ORBIT_BITS}"
+            )
         for cols in actions:
             added = span.add(_apply_action(cols, vec))
             if added is not None:

@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's own algorithms: cofactor
 determinants instead of elimination, Gauss-Jordan row reduction instead of
 the echelon basis behind ``rref``, reflection-built folding sequences
 instead of the index recursion, brute splitting sums instead of the
-convolution presentation, and generator values on every word pair up to a
-length instead of the orbits that ``minimize`` and ``observation_kernel``
-compute.
+convolution presentation, a J-fraction's convergents expanded by power-series
+division instead of the path recurrence of ``jfraction_to_series``, and
+generator values on every word pair up to a length instead of the orbits
+that ``minimize`` and ``observation_kernel`` compute.
 """
 
 from fractions import Fraction
@@ -18,8 +19,10 @@ from recqi import (
     DenseMatrix,
     GaussianRational,
     Presentation,
+    SeriesTruncation,
     SpanBasis,
     WordPair,
+    as_gaussian,
     evaluate,
     kernel_basis,
 )
@@ -281,3 +284,37 @@ def saturation_level(pres: Presentation, cap: int) -> int | None:
             return length - 1
         if length == cap + 1:
             return None
+
+
+def jfraction_by_convergents(jf, c0, order: int) -> SeriesTruncation:
+    """Taylor coefficients 0..order of the continued fraction times c0.
+
+    The unknown tail below level `depth` is replaced by the constant 1. The
+    convergent num/den is built from the bottom level up, each level by
+
+        num' = den,  den' = den - u_k x den - v_(k+1) x^2 num,
+
+    and expanded by one exact power-series division (den has constant 1).
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    c0 = as_gaussian(c0)
+    num = [ONE] + [ZERO] * order
+    den = list(num)
+    for k in range(jf.depth - 1, -1, -1):
+        u, v = jf.u_coeff(k), jf.v_coeff(k + 1)
+        nxt = list(den)
+        for j in range(order):
+            if den[j]:
+                nxt[j + 1] = nxt[j + 1] - u * den[j]
+            if num[j] and j + 2 <= order:
+                nxt[j + 2] = nxt[j + 2] - v * num[j]
+        num, den = den, nxt
+    series = []
+    for n in range(order + 1):
+        acc = num[n]
+        for j in range(1, n + 1):
+            if den[j]:
+                acc = acc - den[j] * series[n - j]
+        series.append(acc)
+    return SeriesTruncation([c0 * x for x in series])

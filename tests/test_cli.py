@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import resource
 import shlex
@@ -12,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from recqi import ONE, DenseMatrix, Presentation, builtin, same_function
+from recqi import (
+    ONE,
+    DenseMatrix,
+    GaussianRational,
+    Presentation,
+    builtin,
+    same_function,
+)
 from recqi import cli
 from recqi.cli import main
 
@@ -122,6 +130,17 @@ def test_jfraction_table(capsys):
     assert lines[4] == "3,-1i,-1i,-1i,-1i,yes"
     assert lines[9] == "8,1i,1i,1i,1i,yes"
     assert err.strip() == "9/9 rows match"
+
+
+def test_jfraction_at_the_count_cap(capsys):
+    # digest recorded when the re-expansion went through the convergents
+    code, out, err = run_cli(capsys, "jfraction", "--count", "1000")
+    assert code == 0
+    assert err == "1001/1001 rows match\n"
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "bf0b5e8252c9e4484d4cfab85070e8271b66180c3834a12491dd6e1ab9dfe9cd"
+    )
 
 
 def test_beta_hankel_table(capsys):
@@ -470,6 +489,40 @@ def test_result_dim_cap_admits_the_builtins(capsys, op, dim):
     code, out, err = run_cli(capsys, "recmat", op, "builtin:U", "builtin:U")
     assert (code, err) == (0, "")
     assert Presentation.from_json_text(out).dim == dim
+
+
+def test_minimize_refuses_orbit_entries_past_the_cap(capsys, tmp_path):
+    # dense init, 10% of the shift entries in {-2..2} + {-2..2}i: each orbit
+    # vector is the image of a reduced one, so entry sizes double every two
+    # dims, and without the cap this dim-24 file ran for almost two minutes
+    rng = random.Random(24)
+    dim = 24
+
+    def small_nonzero():
+        while True:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            if a or b:
+                return GaussianRational(a, b)
+
+    init = [small_nonzero() for _ in range(dim)]
+    shifts = {
+        (s, t): DenseMatrix(
+            dim,
+            dim,
+            [small_nonzero() if rng.random() < 0.1 else 0 for _ in range(dim**2)],
+        )
+        for s in range(2)
+        for t in range(2)
+    }
+    path = tmp_path / "dense.json"
+    path.write_text(Presentation(2, 2, init, shifts).to_json_text())
+    code, out, err = run_cli(capsys, "recmat", "minimize", str(path))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: an orbit vector has an entry of \d+ bits,"
+        r" more than the cap of 4096\n",
+        err,
+    )
 
 
 def test_binary_then_unary_pipeline(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Derandomized property tests: the Q(i) scalar against Fraction pairs, rref
 against Gauss-Jordan, mat_mul against full sums, the text round trips, the
-unfolding levels against evaluation, the presentation products against the
-unfoldings, and minimize keeping the represented function."""
+J-fraction re-expansion against its convergents, the unfolding levels
+against evaluation, the presentation products against the unfoldings, and
+minimize keeping the represented function."""
 
 import math
 import operator
@@ -18,9 +19,11 @@ from recqi import (  # noqa: E402
     I,
     DenseMatrix,
     GaussianRational,
+    JFraction,
     Presentation,
     evaluate,
     format_gaussian,
+    jfraction_to_series,
     mat_mul,
     minimize,
     parse_gaussian,
@@ -37,6 +40,7 @@ from recqi import (  # noqa: E402
 from oracles import (  # noqa: E402
     FractionPair,
     convolution_oracle,
+    jfraction_by_convergents,
     mat_mul_by_sums,
     rref_by_pivoting,
 )
@@ -227,6 +231,21 @@ def test_parse_reduces_unreduced_spellings(a, d, b, e):
         got = parse_gaussian(text)
         assert_canonical(got)
         assert got == value
+
+
+@st.composite
+def jfractions(draw):
+    depth = draw(st.integers(0, 7))
+    coeffs = st.lists(gaussians(6), min_size=depth, max_size=depth)
+    return JFraction(draw(coeffs), draw(coeffs))
+
+
+# orders past 2 * depth read the tail convention as well
+@PROPERTY
+@given(jfractions(), gaussians(6), st.integers(0, 20))
+def test_jfraction_paths_match_the_convergents(jf, c0, order):
+    paths = jfraction_to_series(jf, c0, order).coefficients
+    assert paths == jfraction_by_convergents(jf, c0, order).coefficients
 
 
 @st.composite
