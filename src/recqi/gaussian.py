@@ -35,7 +35,8 @@ class GaussianRational:
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("floats are not exact; pass int or Fraction")
-        re, im = Fraction(re), Fraction(im)
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"pass int or Fraction parts, not {re!r} and {im!r}")
         # lcm of two coprime-form denominators leaves gcd(a, b, d) == 1
         d = math.lcm(re.denominator, im.denominator)
         self._a = re.numerator * (d // re.denominator)

@@ -1,18 +1,19 @@
 """Dense exact linear algebra over Q(i).
 
 One field elimination, the echelon basis :class:`SpanBasis`, gives span
-membership, the reduced row echelon form and kernels. Determinants have two
-independent routes: plain field elimination (:func:`det_field`, any
-Gaussian-rational matrix, the tests' reference) and fraction-free Bareiss
-elimination (big-int kernel, no rational blowup). All leading principal
-minors of a Hankel matrix come from an O(n^2) fraction-free recurrence
-instead, whose rows are the pivot rows the elimination would produce; it
-steps over each square block of vanishing minors, so one pass gives every
-minor, zeros included, and the J-fraction coefficients of
-:mod:`recqi.jacobi`. The fraction-free routes take any Q(i) input: they run
-on L times it, L the least common multiple of its denominators, and divide
-an order-k minor by L^k, so callers never scale. Pivoting always takes the
-first nonzero candidate, so every result is bit-reproducible.
+membership, the reduced row echelon form, kernels and the field determinant.
+Determinants have two independent routes: field elimination through that
+basis (:func:`det_field`, any Gaussian-rational matrix, the tests'
+reference) and fraction-free Bareiss elimination (big-int kernel, no
+rational blowup). All leading principal minors of a Hankel matrix come from
+an O(n^2) fraction-free recurrence instead, whose rows are the pivot rows
+the elimination would produce; it steps over each square block of vanishing
+minors, so one pass gives every minor, zeros included, and the J-fraction
+coefficients of :mod:`recqi.jacobi`. The fraction-free routes take any Q(i)
+input: they run on L times it, L the least common multiple of its
+denominators, and divide an order-k minor by L^k, so callers never scale.
+Pivoting always takes the first nonzero candidate, so every result is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -236,38 +237,27 @@ def kernel_basis(m: DenseMatrix) -> list[list[GaussianRational]]:
 
 
 def det_field(m: DenseMatrix) -> GaussianRational:
-    """Determinant by plain field elimination with row swaps."""
+    """Determinant by field elimination through a :class:`SpanBasis`.
+
+    Each row's residual against the rows before it is the row minus a
+    combination of them, so the determinant is unchanged; a zero residual
+    means it is 0. Sorted by pivot the residuals are upper triangular with
+    their leading entries on the diagonal, and each stored pivot after a new
+    one is an inversion of the pivot order, one sign flip.
+    """
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return ONE
-    a = m.to_lists()
-    sign = 1
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if a[r][k]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        prow = a[k]
-        for r in range(k + 1, n):
-            if a[r][k]:
-                f = a[r][k] / pivot
-                arow = a[r]
-                for c in range(k + 1, n):
-                    arow[c] = arow[c] - f * prow[c]
-                arow[k] = ZERO
+    basis = SpanBasis(m.cols)
     det = ONE
-    for k in range(n):
-        det = det * a[k][k]
-    return det if sign == 1 else -det
+    for r in range(m.rows):
+        v = basis.reduce(m.row_list(r))
+        pivot = next((idx for idx, x in enumerate(v) if x), None)
+        if pivot is None:
+            return ZERO
+        flips = sum(p > pivot for p in basis.pivots)
+        det = det * (-v[pivot] if flips % 2 else v[pivot])
+        basis.add(v)
+    return det
 
 
 def _int_parts(values) -> tuple[list[int], list[int], int]:

@@ -292,21 +292,16 @@ def zero_presentation(p: int = 2, q: int = 2) -> Presentation:
 # -- evaluation and unfolding ---------------------------------------------
 
 
-def _columns(m: DenseMatrix, transposed: bool = False) -> list:
-    """Nonzero entries [(k, m[k, j]), ...] of each column j of square m, or
-    with transposed, [(k, m[j, k]), ...], the columns of m transposed."""
+def _columns(m: DenseMatrix) -> list:
+    """Nonzero entries [(k, m[k, j]), ...] of each column j of square m."""
     d = m.rows
     e = m.entries
-    step, stride = (1, d) if transposed else (d, 1)
-    return [
-        [(k, e[k * step + j * stride]) for k in range(d) if e[k * step + j * stride]]
-        for j in range(d)
-    ]
+    return [[(k, e[k * d + j]) for k in range(d) if e[k * d + j]] for j in range(d)]
 
 
 def _apply_action(cols, vec):
     """The one shift action: row vector vec times the matrix of _columns(m),
-    out[j] = sum_k m[k, j] * vec[k]; with transposed columns, m times vec."""
+    out[j] = sum_k m[k, j] * vec[k]; with _columns(m.transpose()), m times vec."""
     out = []
     for col in cols:
         acc = ZERO
@@ -520,8 +515,9 @@ MAX_ORBIT_BITS = 2**12
 
 def _orbit_span(seed, actions) -> SpanBasis:
     """Span of seed and of its images under every word over the actions:
-    the reachable span takes transposed columns, the observation span (the
-    orbit of the init row) plain ones. Raises ValueError past MAX_ORBIT_BITS."""
+    the reachable span takes the columns of the transposed shifts, the
+    observation span (the orbit of the init row) those of the shifts.
+    Raises ValueError past MAX_ORBIT_BITS."""
     span = SpanBasis(len(seed))
     first = span.add(seed)
     work = [] if first is None else [first]
@@ -562,7 +558,7 @@ def minimize(pres: Presentation) -> Presentation:
     if d == 0:
         return zero_presentation(pres.p, pres.q)
     mats = pres.shift_items()
-    forward = [_columns(mat, transposed=True) for _, mat in mats]
+    forward = [_columns(mat.transpose()) for _, mat in mats]
     e0 = [ONE] + [ZERO] * (d - 1)
     fwd = _orbit_span(e0, forward).vectors()
     obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats])
@@ -676,23 +672,10 @@ def _builtin_diag() -> Presentation:
     return Presentation(2, 2, [ONE, one_plus_i, one_plus_i], shifts, ["D0", "D1", "D2"])
 
 
-def _builtin_identity() -> Presentation:
-    shifts = {
-        (s, t): (_mat(1, [[1]]) if s == t else _mat(1, [[0]]))
-        for s in range(2)
-        for t in range(2)
-    }
-    return Presentation(2, 2, [ONE], shifts, ["I0"])
-
-
-def _builtin_empty_delta() -> Presentation:
-    shifts = {(s, t): _mat(1, [[0]]) for s in range(2) for t in range(2)}
-    return Presentation(2, 2, [ONE], shifts, ["E0"])
-
-
-def _builtin_ones() -> Presentation:
-    shifts = {(s, t): _mat(1, [[1]]) for s in range(2) for t in range(2)}
-    return Presentation(2, 2, [ONE], shifts, ["J0"])
+def _builtin_one_state(label: str, weights) -> Presentation:
+    """p = q = 2, dim 1, init 1: shift (s, t) is the 1x1 matrix weights[s][t]."""
+    shifts = {(s, t): _mat(1, [[weights[s][t]]]) for s in range(2) for t in range(2)}
+    return Presentation(2, 2, [ONE], shifts, [label])
 
 
 def _builtin_diag_one_plus_n() -> Presentation:
@@ -715,9 +698,9 @@ _BUILTIN_FACTORIES = {
     "H": _builtin_hankel,
     "L": _builtin_lower,
     "D": _builtin_diag,
-    "I": _builtin_identity,
-    "E": _builtin_empty_delta,
-    "ones": _builtin_ones,
+    "I": lambda: _builtin_one_state("I0", [[1, 0], [0, 1]]),
+    "E": lambda: _builtin_one_state("E0", [[0, 0], [0, 0]]),
+    "ones": lambda: _builtin_one_state("J0", [[1, 1], [1, 1]]),
     "zero": zero_presentation,
     "diag1plusn": _builtin_diag_one_plus_n,
 }

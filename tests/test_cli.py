@@ -755,3 +755,10 @@ def test_readme_example(capsys, argv, expected):
 
 def test_readme_has_examples():
     assert len(readme_examples()) >= 5
+
+
+def test_readme_library_example():
+    # the python block under "Library": its asserts are the checks
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.match(r"\s*```python\n(.*?)^```$", library, re.M | re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -1,6 +1,7 @@
 """Field arithmetic, canonical formatting, and the strict parser."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,21 @@ def test_floats_rejected():
         GaussianRational(0.5)
     with pytest.raises(TypeError):
         as_gaussian(1.25)
+
+
+def test_constructor_takes_what_as_gaussian_takes():
+    for x in (0, -7, 10**40, True, False, Fraction(-5, 6), Fraction(3, 10**20)):
+        assert GaussianRational(x).integer_parts() == as_gaussian(x).integer_parts()
+        assert GaussianRational(0, x) == as_gaussian(x) * I
+        assert GaussianRational(x, x) == as_gaussian(x) * (ONE + I)
+    # strings and Decimals used to pass through Fraction(...)
+    for bad in ("1/2", "1", Decimal("0.5"), None, 1j):
+        with pytest.raises(TypeError, match="pass int or Fraction"):
+            GaussianRational(bad)
+        with pytest.raises(TypeError, match="pass int or Fraction"):
+            GaussianRational(0, bad)
+        with pytest.raises(TypeError):
+            as_gaussian(bad)
 
 
 def test_format_examples():

@@ -1,5 +1,6 @@
 """Derandomized property tests: the Q(i) scalar against Fraction pairs, rref
-against Gauss-Jordan, mat_mul against full sums, the text round trips, the
+against Gauss-Jordan, the two determinant eliminations against cofactor
+expansion, mat_mul against full sums, the text round trips, the
 J-fraction re-expansion against its convergents, the unfolding levels
 against evaluation, the presentation products against the unfoldings, and
 minimize keeping the represented function."""
@@ -21,6 +22,8 @@ from recqi import (  # noqa: E402
     GaussianRational,
     JFraction,
     Presentation,
+    det_bareiss,
+    det_field,
     evaluate,
     format_gaussian,
     jfraction_to_series,
@@ -40,6 +43,7 @@ from recqi import (  # noqa: E402
 from oracles import (  # noqa: E402
     FractionPair,
     convolution_oracle,
+    det_cofactor,
     jfraction_by_convergents,
     mat_mul_by_sums,
     rref_by_pivoting,
@@ -198,6 +202,20 @@ def factor_pairs(draw):
         return DenseMatrix(r, c, draw(st.lists(SPARSE, min_size=r * c, max_size=r * c)))
 
     return dense(n, k), dense(k, m)
+
+
+@st.composite
+def square_matrices(draw):
+    """Q(i) matrices up to 5 x 5 with sparse entries, so vanishing leading
+    minors (row swaps) and singular matrices are common."""
+    n = draw(st.integers(0, 5))
+    return DenseMatrix(n, n, draw(st.lists(SPARSE, min_size=n * n, max_size=n * n)))
+
+
+@PROPERTY
+@given(square_matrices())
+def test_determinant_routes_agree(m):
+    assert det_field(m) == det_bareiss(m) == det_cofactor(m)
 
 
 @PROPERTY

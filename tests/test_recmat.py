@@ -405,6 +405,32 @@ def test_unobservable_presentation_has_the_identity_kernel():
     assert observation_kernel(zero_presentation()) == []
 
 
+# SHA-256 of the JSON text of each builtin, one entry per name builtin knows
+BUILTIN_DIGESTS = {
+    "D": "7905b402f2f486ba1bf10d5a93530dc149fd9e9422cba768b3e0b33c339eb5b7",
+    "E": "7636442cf35fd26b62878b66d6465a96fd6805d86e59818d936797ec32385286",
+    "H": "2862cbebea3a82934e0a97612e1a0f51fd739de72c5a1dd01b442c032a8ef32b",
+    "I": "310761b1b1bf417f3421d27499ce7704c359b730b653b19ee9d24f9704ba1fcd",
+    "L": "ebfe60ccdcb63298d356a12fe89876c84ac1226ce51e103a82733cb6aceeb7bf",
+    "U": "14a0b233b7339802c87df2efbb399fe4a2c9b42b3f3e4ba52ad732d661bbeb93",
+    "diag1plusn": "2ad340bc78840aa14abbf6498450d76a3fd5c95a1ee67f17f9e7c74066b110fb",
+    "ones": "62b366f9bdd3dc9f17c11908f5bcda8faa8efc2308bfa800866c653c68a229ab",
+    "zero": "cfd47fcccca2c67c8ba2b1a3c17b50f00c0af0bf74fbff5133ad9b6e36d79f28",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_DIGESTS))
+def test_builtin_bytes_are_pinned(name):
+    text = builtin(name).to_json_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_DIGESTS[name]
+
+
+def test_builtin_digests_cover_every_name():
+    with pytest.raises(ValueError) as exc:
+        builtin("nope")
+    assert str(exc.value).endswith("known: " + ", ".join(sorted(BUILTIN_DIGESTS)))
+
+
 # SHA-256 of the minimize JSON text of each builtin: the orbits, the
 # quotient basis and the induced shifts all show in these bytes
 MINIMIZE_DIGESTS = {
