@@ -27,6 +27,8 @@ from .gaussian import (
     ZERO,
     ONE,
     GaussianRational,
+    _new,
+    _reduced,
     as_gaussian,
     format_gaussian,
 )
@@ -40,7 +42,9 @@ class DenseMatrix:
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        e = tuple(as_gaussian(x) for x in entries)
+        e = tuple(entries)
+        if {*map(type, e)} - {GaussianRational}:  # coerce all but scalars
+            e = tuple(map(as_gaussian, e))
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
         self._rows = rows
@@ -182,22 +186,27 @@ class DenseMatrix:
 
 
 def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """a times b, summed on Gaussian-integer pairs over one common denominator."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    n, k, m = a.rows, a.cols, b.cols
-    ae, be = a.entries, b.entries
-    # the nonzero (column, value) pairs of each row of b, read once
+    a_re, a_im, a_scale = _as_int_pairs(a)
+    b_re, b_im, b_scale = _as_int_pairs(b)
+    # the nonzero (column, re, im) triples of each row of b, read once
     b_rows = [
-        [(c, y) for c, y in enumerate(be[t * m : t * m + m]) if y] for t in range(k)
+        [(c, u, v) for c, u, v in zip(range(b.cols), *row) if u or v]
+        for row in zip(b_re, b_im)
     ]
-    out = [ZERO] * (n * m)
-    for r in range(n):
-        obase = r * m
-        for x, b_row in zip(ae[r * k : r * k + k], b_rows):
-            if x:
-                for c, y in b_row:
-                    out[obase + c] = out[obase + c] + x * y
-    return DenseMatrix(n, m, out)
+    re, im = [], []
+    for a_row in zip(a_re, a_im):
+        row_re, row_im = [0] * b.cols, [0] * b.cols
+        for x, y, b_row in zip(*a_row, b_rows):
+            if x or y:
+                for c, u, v in b_row:
+                    row_re[c] += x * u - y * v
+                    row_im[c] += x * v + y * u
+        re += row_re
+        im += row_im
+    return DenseMatrix(a.rows, b.cols, _from_int_parts(re, im, a_scale * b_scale))
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, int, tuple[int, ...]]:
@@ -268,6 +277,14 @@ def _int_parts(values) -> tuple[list[int], list[int], int]:
     re = [a * (scale // d) for a, _, d in parts]
     im = [b * (scale // d) for _, b, d in parts]
     return re, im, scale
+
+
+def _from_int_parts(re: list, im: list, scale: int) -> list:
+    """The scalars (re[j] + im[j]*i)/scale, the inverse of _int_parts; every
+    zero is the one ZERO, so sparse tables hold no copies of it."""
+    if scale == 1:
+        return [_new(a, b, 1) if a or b else ZERO for a, b in zip(re, im)]
+    return [_reduced(a, b, scale) if a or b else ZERO for a, b in zip(re, im)]
 
 
 def _as_int_pairs(m: DenseMatrix) -> tuple[list[list[int]], list[list[int]], int]:
@@ -357,14 +374,16 @@ def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
         raise ValueError("determinant of a non-square matrix")
     values = _hankel_values(m)
     if values is not None:
-        return hankel_recurrence(values)[0]
+        return _hankel_minors(*_int_parts(values))[0]
     return _elimination_minors(m)
 
 
 def hankel_recurrence(values) -> tuple[list, list]:
     """Minors D(0..n) and entries T_k(k+1) of the Hankel matrix of the Q(i)
-    values c(0..2n-2), as the recurrence of _hankel_minors returns them."""
-    return _hankel_minors(*_int_parts(values))
+    values c(0..2n-2), from the recurrence of _hankel_minors."""
+    re, im, scale = _int_parts(values)
+    minors, upper = _hankel_minors(re, im, scale)
+    return minors, _divide_powers([GaussianRational(*t) for t in upper], scale, 1)
 
 
 def _hankel_values(m: DenseMatrix) -> list | None:
@@ -432,8 +451,8 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
     T_k itself. Every T is a minor of a Gaussian-integer matrix, so each
     division is exact in Z[i]: a product with the divisor's conjugate, folded
     into three row coefficients, then two floor divisions by its norm.
-    Returns D(0..n) and T_k(k+1) for k <= n-2 while D(1..k) != 0, of c
-    itself: D(k) of L*c divided by L^k, T_k(k+1) by L^(k+1).
+    Returns D(0..n) of c, D(k) of L*c divided by L^k, and the int pairs of
+    T_k(k+1) of L*c for k <= n-2 while D(1..k) != 0.
     """
     size = len(cur_re)
     n = (size + 1) // 2
@@ -444,7 +463,7 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
     k = 0
     while k < n:
         if len(upper) == k < n - 1:
-            upper.append(GaussianRational(cur_re[k + 1], cur_im[k + 1]))
+            upper.append((cur_re[k + 1], cur_im[k + 1]))
         m = next((l for l in range(k, n) if cur_re[l] or cur_im[l]), n)
         minors += [ZERO] * (m - k)
         if m == n:
@@ -497,7 +516,7 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
         prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, nxt_re, nxt_im
         d, e = d_next, tau
         k += h
-    return _divide_powers(minors, scale), _divide_powers(upper, scale, 1)
+    return _divide_powers(minors, scale), upper
 
 
 class SpanBasis:

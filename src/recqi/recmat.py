@@ -34,6 +34,7 @@ from .gaussian import (
     parse_gaussian,
 )
 from .linalg import DenseMatrix, SpanBasis, kernel_basis, rref
+from .linalg import _from_int_parts, _int_parts
 
 
 def index_to_word(index: int, base: int, length: int) -> tuple[int, ...]:
@@ -304,12 +305,8 @@ def _apply_action(cols, vec):
     out[j] = sum_k m[k, j] * vec[k]; with _columns(m.transpose()), m times vec."""
     out = []
     for col in cols:
-        acc = ZERO
-        for k, w in col:
-            x = vec[k]
-            if x:
-                acc = acc + w * x
-        out.append(acc)
+        terms = [w * vec[k] for k, w in col if vec[k]]
+        out.append(sum(terms[1:], terms[0]) if terms else ZERO)
     return out
 
 
@@ -329,31 +326,57 @@ def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
 def unfold_levels(pres: Presentation, depth: int):
     """Yield unfold(pres, n) for n = 0..depth from one pass over the levels.
 
-    Cell (r, c) of level n holds the vector of all generator values at the
-    pair whose words are the digits of r and c. Only generator 0 is read at
-    the last level, so it applies column 0 of each shift alone, and its grid
-    is dropped before its matrix is yielded.
+    Level n holds the real and the imaginary parts of each generator at
+    every cell, row-major, as ints over one scale L0 * L^n (L0, L: the lcm
+    of the denominators of init and of the shifts). Shift (s, t) maps whole
+    lists by int combinations to the (s, t) block of level n + 1; the last
+    level takes column 0 of each shift alone. Only yields build scalars.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    p, q = pres.p, pres.q
-    # no generators: one that every shift kills represents the zero function
-    actions = {key: _columns(m) or [[]] for key, m in pres.shift_items()}
-    grid = [[list(pres.init) or [ZERO]]]
+    q, dim = pres.q, pres.dim
+    w_re, w_im, lift = _int_parts([x for _, m in pres.shift_items() for x in m.entries])
+    # column j of shift s * q + t: (k, re, im) of its nonzero L * (k, j); with
+    # no generators, one that every shift kills stands for the zero function
+    actions = [[[] for _ in range(dim)] or [[]] for _ in range(pres.p * q)]
+    for e, (a, b) in enumerate(zip(w_re, w_im)):
+        if a or b:
+            actions[e // (dim * dim)][e % dim].append((e // dim % dim, a, b))
+    re, im, scale = _int_parts(pres.init)
+    level = [([x], [y]) for x, y in zip(re, im)] or [([0], [0])]
     pr, qc = 1, 1
     for n in range(depth):
-        yield DenseMatrix(pr, qc, [vec[0] for row in grid for vec in row])
+        yield DenseMatrix(pr, qc, _from_int_parts(*level[0], scale))
         if n == depth - 1:
-            actions = {key: cols[:1] for key, cols in actions.items()}
-        nxt = [[None] * (qc * q) for _ in range(pr * p)]
-        for r, row in enumerate(grid):
-            for c, vec in enumerate(row):
-                for (s, t), action in actions.items():
-                    nxt[r + s * pr][c + t * qc] = _apply_action(action, vec)
-        grid, pr, qc = nxt, pr * p, qc * q
-    last = DenseMatrix(pr, qc, [vec[0] for row in grid for vec in row])
-    grid = nxt = None  # both name the last grid
-    yield last
+            actions = [cols[:1] for cols in actions]
+        level = [
+            _row_major([_combine(cols[j], level) for cols in actions], q, qc)
+            for j in range(len(actions[0]))
+        ]
+        pr, qc, scale = pr * pres.p, qc * q, scale * lift
+    yield DenseMatrix(pr, qc, _from_int_parts(*level[0], scale))
+
+
+def _combine(col, level) -> tuple[list, list]:
+    """Sum over (k, a, b) in col of (a + b*i) times generator k of level."""
+    out_re = out_im = [0] * len(level[0][0])
+    for k, a, b in col:
+        x_re, x_im = level[k]
+        out_re = [o + a * x - b * y for o, x, y in zip(out_re, x_re, x_im)]
+        out_im = [o + a * y + b * x for o, x, y in zip(out_im, x_re, x_im)]
+    return out_re, out_im
+
+
+def _row_major(blocks, q, qc) -> tuple[list, list]:
+    """A generator's parts at the next level from its blocks, listed in
+    (s, t) order: row r + s * pr is row r of blocks (s, 0), ..., (s, q - 1)."""
+    re, im = [], []
+    for first in range(0, len(blocks), q):
+        for r in range(0, len(blocks[0][0]), qc):
+            for b_re, b_im in blocks[first : first + q]:
+                re += b_re[r : r + qc]
+                im += b_im[r : r + qc]
+    return re, im
 
 
 def unfold(pres: Presentation, depth: int) -> DenseMatrix:
@@ -375,7 +398,7 @@ def _assemble(p, q, dim, init, labels, blocks) -> Presentation:
     shifts = {}
     for s in range(p):
         for t in range(q):
-            out = [ZERO] * (dim * dim)
+            out = [None] * (dim * dim)
             for row, col, ma, mb in blocks(s, t):
                 n1, n2, eb = mb.rows, mb.cols, mb.entries
                 # entry (l, j) of N lands at offset l * dim + j of each block
@@ -385,8 +408,10 @@ def _assemble(p, q, dim, init, labels, blocks) -> Presentation:
                         k, i = divmod(e, ma.cols)
                         base = (row + k * n1) * dim + col + i * n2
                         for off, y in nonzero:
-                            out[base + off] = out[base + off] + x * y
-            shifts[(s, t)] = DenseMatrix(dim, dim, out)
+                            at = base + off
+                            out[at] = x * y if out[at] is None else out[at] + x * y
+            entries = [ZERO if x is None else x for x in out]
+            shifts[(s, t)] = DenseMatrix(dim, dim, entries)
     return Presentation(p, q, init, shifts, labels)
 
 

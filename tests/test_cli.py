@@ -114,6 +114,31 @@ def test_verify_lu_table(capsys):
     assert err.strip() == "4/4 rows match"
 
 
+@pytest.mark.parametrize(
+    "argv, summary, digest",
+    [
+        (
+            ("verify-lu", "--depth", "8"),
+            "9/9 rows match\n",
+            "ea12fafbb34b0fc7a1a2224e2f99d66bbc6aa57c3010e5e557072bbbeb1344b9",
+        ),
+        (
+            ("recmat", "unfold", "builtin:U", "--depth", "7"),
+            "",
+            "0f1f5b0727cc474c5deb49de41bb58566a47b38ab980a0431674dcaea54a8d4d",
+        ),
+    ],
+    ids=["verify-lu", "unfold-U"],
+)
+def test_presentation_commands_keep_their_bytes(capsys, argv, summary, digest):
+    # digests recorded when unfolding and mat_mul summed GaussianRational
+    # scalars one product at a time
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == summary
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_lu_depth_contract(capsys):
     code, out, err = run_cli(capsys, "verify-lu", "--depth", "9")
     assert code == 2

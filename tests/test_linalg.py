@@ -19,6 +19,7 @@ from recqi import (
     det_field,
     kernel_basis,
     mat_mul,
+    pow_i,
     rref,
 )
 from oracles import (
@@ -364,6 +365,41 @@ def test_hankel_recurrence_of_rational_values():
             cols = [*range(k), k + 1]
             rows = [[m[r, c] for c in cols] for r in range(k + 1)]
             assert t == det_field(DenseMatrix.from_rows(rows))
+
+
+def test_leading_minors_build_one_scalar_per_minor(monkeypatch):
+    # the i^tau(n) moments: every Hankel minor is nonzero
+    n = 12
+    values = [pow_i(bin(k).count("1")) for k in range(2 * n - 1)]
+    m = hankel_matrix(values)
+    built = []
+
+    def counting(*parts):
+        built.append(parts)
+        return GaussianRational(*parts)
+
+    monkeypatch.setattr(linalg, "GaussianRational", counting)
+    minors = bareiss_leading_minors(m)
+    assert len(built) == n and all(minors)
+    # only the J-fraction route reads T_k(k+1), so only it builds them
+    built.clear()
+    assert linalg.hankel_recurrence(values)[0] == minors
+    assert len(built) == 2 * n - 1
+
+
+def test_matrix_coerces_only_what_the_library_did_not_build(monkeypatch):
+    x = GaussianRational(Fraction(1, 3), 2)
+    m = DenseMatrix(1, 4, [x, 2, Fraction(-1, 2), True])
+    assert m.entries == (x, *map(GaussianRational, (2, Fraction(-1, 2), 1)))
+    assert all(type(e) is GaussianRational for e in m.entries)
+    with pytest.raises(TypeError):
+        DenseMatrix(1, 2, [x, 0.5])
+
+    def no_coercion(value):
+        raise AssertionError(f"{value!r} was coerced again")
+
+    monkeypatch.setattr(linalg, "as_gaussian", no_coercion)
+    assert mat_mul(m.transpose(), m)[0, 0] == x * x
 
 
 def test_degeneracy_carries_unscaled_minors():

@@ -193,13 +193,18 @@ def test_rref_of_empty_and_zero_matrices():
 SPARSE = st.one_of(st.just(ZERO), ENTRIES)
 
 
+# sparse factor entries, half of the nonzero ones with denominators up to 10^6
+FACTOR_ENTRIES = st.one_of(st.just(ZERO), st.one_of(ENTRIES, SCALARS))
+
+
 @st.composite
 def factor_pairs(draw):
     """Matrices a (n x k) and b (k x m) with every side in 0..5."""
     n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
 
     def dense(r, c):
-        return DenseMatrix(r, c, draw(st.lists(SPARSE, min_size=r * c, max_size=r * c)))
+        cells = st.lists(FACTOR_ENTRIES, min_size=r * c, max_size=r * c)
+        return DenseMatrix(r, c, draw(cells))
 
     return dense(n, k), dense(k, m)
 
@@ -225,7 +230,10 @@ def test_determinant_routes_agree(m):
 @example((DenseMatrix.zeros(2, 0), DenseMatrix.zeros(0, 3)))
 def test_mat_mul_matches_full_sums(pair):
     a, b = pair
-    assert mat_mul(a, b) == mat_mul_by_sums(a, b)
+    product = mat_mul(a, b)
+    assert product == mat_mul_by_sums(a, b)
+    for x in product.entries:
+        assert_canonical(x)
 
 
 @PROPERTY
@@ -314,6 +322,41 @@ def test_unfold_levels_evaluate_every_word_pair(pres):
         values = [evaluate(pres, pair) for pair in word_pairs(pres.p, pres.q, n)]
         assert list(level.entries) == values
     assert levels[-1] == unfold(pres, 3)
+
+
+def scaled_entries(draw, count, denominator):
+    """count sparse Gaussian rationals over the given denominator."""
+    parts = st.integers(-(10**3), 10**3)
+    pairs = st.one_of(st.just((0, 0)), st.tuples(parts, parts))
+    return [
+        GaussianRational(Fraction(a, denominator), Fraction(b, denominator))
+        for a, b in draw(st.lists(pairs, min_size=count, max_size=count))
+    ]
+
+
+@st.composite
+def rational_presentations(draw):
+    """Presentations over alphabets of 3 and 1 letters, either way round, with
+    a denominator of its own up to 10^6 for init and each letter pair."""
+    p, q = draw(st.sampled_from([(3, 1), (1, 3)]))
+    dim = draw(st.integers(0, 3))
+
+    def entries(count):
+        return scaled_entries(draw, count, draw(st.integers(1, 10**6)))
+
+    pairs = [(s, t) for s in range(p) for t in range(q)]
+    shifts = {pair: DenseMatrix(dim, dim, entries(dim * dim)) for pair in pairs}
+    return Presentation(p, q, entries(dim), shifts)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(rational_presentations())
+def test_unfold_levels_of_rational_presentations(pres):
+    for n, level in enumerate(unfold_levels(pres, 5)):
+        values = [evaluate(pres, pair) for pair in word_pairs(pres.p, pres.q, n)]
+        assert list(level.entries) == values
+        for x in level.entries:
+            assert_canonical(x)
 
 
 # the results of binary ops have up to dim_a * dim_b + dim_a generators

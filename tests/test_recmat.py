@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from recqi import recmat
 from recqi import (
     ONE,
     ZERO,
@@ -271,6 +272,28 @@ def test_convolution_of_moments_with_itself():
     for length in range(4):
         for wp in word_pairs(2, 2, length):
             assert evaluate(conv, wp) == convolution_oracle(H, H, wp)
+
+
+def test_sums_start_at_their_first_product(monkeypatch):
+    adds = []
+    add = GaussianRational.__add__
+
+    def counting(x, y):
+        adds.append((x, y))
+        return add(x, y)
+
+    monkeypatch.setattr(GaussianRational, "__add__", counting)
+    # columns with one, three and no nonzero terms: 0 + 2 + 0 additions
+    m = DenseMatrix.from_rows([[1, 2, 0], [0, I, 0], [0, 3, 0]])
+    vec = [ONE, I, GaussianRational(5)]
+    out = recmat._apply_action(recmat._columns(m), vec)
+    assert out == [ONE, GaussianRational(16), ZERO]
+    assert len(adds) == 2
+    # each shift of ones . ones is 1 * 1 + 1 * 1: one addition per letter pair
+    adds.clear()
+    prod = rec_product(ONES, ONES)
+    assert len(adds) == 4
+    assert all(m.entries == (GaussianRational(2),) for _, m in prod.shift_items())
 
 
 def test_minimize_preserves_function_and_shrinks():
