@@ -3,8 +3,11 @@
 Every quantity in this package is a Gaussian rational, stored as three
 arbitrary precision ints (a, b, d) representing (a + b*i)/d over one common
 denominator d > 0, reduced so that gcd(a, b, d) == 1; sums and products of
-Gaussian integers (d == 1) take no gcd. Values are immutable, and print in a
-canonical text form that parses back bit-exactly:
+Gaussian integers (d == 1) take no gcd. Values are immutable, so each small
+Gaussian integer (both parts within SHARED_BOUND) can be one shared object,
+as CPython shares its small ints: the constants below, the parsed values and
+the unfolded tables all hand it out. Values print in a canonical text form
+that parses back bit-exactly:
 
     gaussian := real | imag | real sign imag
     real     := rat
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import getitem
 
 from .errors import ParseError
 
@@ -175,14 +179,41 @@ def _coerce(value) -> GaussianRational | None:
     return None
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
+#: every a + b*i with |a|, |b| <= SHARED_BOUND exists once, in _SHARED[a][b];
+#: the unfoldings of the builtins but diag1plusn stay within it at any depth
+SHARED_BOUND = 8
+# negative indices wrap, so index k of a row or a column holds part k
+_WRAP = [*range(SHARED_BOUND + 1), *range(-SHARED_BOUND, 0)]
+_SHARED = [[_new(a, b, 1) for b in _WRAP] for a in _WRAP]
+_SHARED_PARTS = frozenset(_WRAP)
+
+ZERO = _SHARED[0][0]
+ONE = _SHARED[1][0]
+I = _SHARED[0][1]
 
 #: the four units of Z[i]; membership tests for determinant tables
-GAUSSIAN_UNITS = (ONE, GaussianRational(-1), I, GaussianRational(0, -1))
+GAUSSIAN_UNITS = (ONE, _SHARED[-1][0], I, _SHARED[0][-1])
 
-_POW_I = (ONE, I, GaussianRational(-1), GaussianRational(0, -1))
+_POW_I = (ONE, I, _SHARED[-1][0], _SHARED[0][-1])
+
+
+def _integers(re: list, im: list) -> list:
+    """The Gaussian integers re[j] + im[j]*i (int parts): all shared objects
+    when every part is within SHARED_BOUND, else one new object per nonzero
+    value, every zero the one ZERO. From CPython 3.11 on the range scan
+    stops at the first part out of range, so large values pay little for it."""
+    if _SHARED_PARTS.issuperset(re) and _SHARED_PARTS.issuperset(im):
+        return list(map(getitem, map(_SHARED.__getitem__, re), im))
+    return [_new(a, b, 1) if a or b else ZERO for a, b in zip(re, im)]
+
+
+def _parsed(a: int, b: int, d: int) -> GaussianRational:
+    # (a + b*i)/d for any d > 0, a small Gaussian integer as its shared object
+    g = math.gcd(a, b, d)
+    a, b, d = a // g, b // g, d // g
+    if d == 1 and a in _SHARED_PARTS and b in _SHARED_PARTS:
+        return _SHARED[a][b]
+    return _new(a, b, d)
 
 
 def as_gaussian(value) -> GaussianRational:
@@ -206,6 +237,10 @@ def _format_ratio(n: int, d: int) -> str:
 def format_gaussian(value: GaussianRational) -> str:
     """Canonical text form; inverse of :func:`parse_gaussian`."""
     a, b, d = value._a, value._b, value._d
+    if d == 1:
+        if not b:
+            return str(a)
+        return f"{b}i" if not a else f"{a}{b:+}i"
     if not b:
         return _format_ratio(a, d)
     if not a:
@@ -255,27 +290,27 @@ def parse_gaussian(text: str) -> GaussianRational:
     if s == "+i":
         return I
     if s == "-i":
-        return _new(0, -1, 1)
+        return _SHARED[0][-1]
 
     num, den, pos = scan_rat(0)
     if pos == n:
-        return _reduced(num, 0, den)
+        return _parsed(num, 0, den)
     ch = s[pos]
     if ch == "i":
         if pos + 1 != n:
             raise ParseError("trailing characters after 'i'", pos + 1)
-        return _reduced(0, num, den)
+        return _parsed(0, num, den)
     if ch in "+-":
         sign = 1 if ch == "+" else -1
         pos += 1
         if pos < n and s[pos] == "i":
             if pos + 1 != n:
                 raise ParseError("trailing characters after 'i'", pos + 1)
-            return _reduced(num, sign * den, den)
+            return _parsed(num, sign * den, den)
         im_num, im_den, pos = scan_unsigned(pos)
         if pos >= n or s[pos] != "i":
             raise ParseError("expected 'i'", pos)
         if pos + 1 != n:
             raise ParseError("trailing characters after 'i'", pos + 1)
-        return _reduced(num * im_den, sign * im_num * den, den * im_den)
+        return _parsed(num * im_den, sign * im_num * den, den * im_den)
     raise ParseError("unexpected character", pos)

@@ -27,7 +27,7 @@ from .gaussian import (
     ZERO,
     ONE,
     GaussianRational,
-    _new,
+    _integers,
     _reduced,
     as_gaussian,
     format_gaussian,
@@ -281,9 +281,10 @@ def _int_parts(values) -> tuple[list[int], list[int], int]:
 
 def _from_int_parts(re: list, im: list, scale: int) -> list:
     """The scalars (re[j] + im[j]*i)/scale, the inverse of _int_parts; every
-    zero is the one ZERO, so sparse tables hold no copies of it."""
+    zero is the one ZERO, and at scale 1 a table of small parts holds only
+    the shared Gaussian integers."""
     if scale == 1:
-        return [_new(a, b, 1) if a or b else ZERO for a, b in zip(re, im)]
+        return _integers(re, im)
     return [_reduced(a, b, scale) if a or b else ZERO for a, b in zip(re, im)]
 
 
@@ -502,6 +503,12 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
         a_r, a_i = a_r * gr - a_i * gi, a_r * gi + a_i * gr
         b_r, b_i = b_r * gr - b_i * gi, b_r * gi + b_i * gr
         c_r, c_i = _mul(th1, (gr, gi))
+        # a factor common to the coefficients and the norm leaves every
+        # quotient as it is and exact, so divide it out
+        g = math.gcd(a_r, a_i, b_r, b_i, c_r, c_i, nrm)
+        a_r, a_i, b_r, b_i, c_r, c_i, nrm = (
+            v // g for v in (a_r, a_i, b_r, b_i, c_r, c_i, nrm)
+        )
         nxt_re, nxt_im = [0] * size, [0] * size
         for l in range(k + h, size - k - h):
             xr, xi = x_re[l + 1], x_im[l + 1]

@@ -531,7 +531,8 @@ def rec_convolution(pa: Presentation, pb: Presentation) -> Presentation:
 
 
 def _dot(xs, ys) -> GaussianRational:
-    return sum((x * y for x, y in zip(xs, ys) if y), ZERO)
+    terms = [x * y for x, y in zip(xs, ys) if y]
+    return sum(terms[1:], terms[0]) if terms else ZERO
 
 
 # builtin compositions stay under 2^8 bits; dense entries double every 2 dims

@@ -1,12 +1,18 @@
-"""Field arithmetic, canonical formatting, and the strict parser."""
+"""Field arithmetic, canonical formatting, the strict parser and the shared
+small Gaussian integers."""
 
+import ast
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from recqi import gaussian
 from recqi import (
+    GAUSSIAN_UNITS,
     ZERO,
     ONE,
     I,
@@ -145,6 +151,9 @@ def test_parse_examples():
     assert parse_gaussian("0i") == ZERO
     assert parse_gaussian("-0").integer_parts() == (0, 0, 1)
     assert parse_gaussian("-0/6+4/6i").integer_parts() == (0, 2, 3)
+    # small Gaussian integers parse to the shared objects
+    assert parse_gaussian("-0") is ZERO and parse_gaussian("4/4") is ONE
+    assert parse_gaussian("+i") is I and parse_gaussian("-i") is pow_i(3)
 
 
 @pytest.mark.parametrize(
@@ -188,3 +197,32 @@ def test_repr_and_str():
     assert str(x) == "1+1i"
     assert "1+1i" in repr(x)
 
+
+def test_constants_are_the_shared_small_integers():
+    r = gaussian.SHARED_BOUND
+    shared = {x.integer_parts(): x for row in gaussian._SHARED for x in row}
+    assert set(shared) == {(a, b, 1) for a in range(-r, r + 1) for b in range(-r, r + 1)}
+    assert all(gaussian._SHARED[a][b] is shared[a, b, 1] for a, b, _ in shared)
+    constants = [shared[x] for x in [(0, 0, 1), (1, 0, 1), (0, 1, 1)]]
+    assert all(map(operator.is_, (ZERO, ONE, I), constants))
+    units = [shared[x] for x in [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]]
+    assert all(map(operator.is_, GAUSSIAN_UNITS, units))
+    assert all(pow_i(k) is units[(0, 2, 1, 3)[k]] for k in range(4))
+
+
+def test_only_the_scalar_module_writes_scalar_fields():
+    # shared scalars must never change: outside gaussian.py no code stores
+    # or deletes _a, _b or _d, nor spells one as a string, as setattr takes it
+    fields = {"_a", "_b", "_d"}
+    writers = {}
+    for path in Path(gaussian.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in fields:
+                writers.setdefault(path.name, set()).add(name)
+    assert writers == {"gaussian.py": fields}

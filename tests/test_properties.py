@@ -1,4 +1,5 @@
-"""Derandomized property tests: the Q(i) scalar against Fraction pairs, rref
+"""Derandomized property tests: the Q(i) scalar against Fraction pairs, the
+scalars built from int parts and from text against Fraction pairs, rref
 against Gauss-Jordan, the two determinant eliminations against cofactor
 expansion, mat_mul against full sums, the text round trips, the
 J-fraction re-expansion against its convergents, the unfolding levels
@@ -14,6 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from recqi import gaussian, linalg  # noqa: E402
 from recqi import (  # noqa: E402
     ZERO,
     ONE,
@@ -236,6 +238,39 @@ def test_mat_mul_matches_full_sums(pair):
         assert_canonical(x)
 
 
+# the shared small Gaussian integers, by their (re, im) parts
+SHARED = {x.integer_parts()[:2]: x for row in gaussian._SHARED for x in row}
+SMALL_PART = st.integers(-gaussian.SHARED_BOUND, gaussian.SHARED_BOUND)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(SMALL_PART, SMALL_PART), max_size=40),
+    st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 79), st.sampled_from([9, -9, 10**20, -(10**20)])),
+    ),
+    st.sampled_from([1, 1, 1, 2, 12, 10**6]),
+)
+@example([(1, 0), (0, -1), (8, 8), (0, 0)], (5, 9), 1)
+def test_scalars_from_int_parts_match_fraction_pairs(pairs, outlier, scale):
+    re, im = [a for a, _ in pairs], [b for _, b in pairs]
+    if pairs and outlier is not None:
+        # one part past the bound: the whole table takes the per-cell route
+        k, part = outlier
+        (re, im)[k % 2][k // 2 % len(pairs)] = part
+    got = linalg._from_int_parts(re, im, scale)
+    shared = scale == 1 and all(pair in SHARED for pair in zip(re, im))
+    assert len(got) == len(pairs)
+    for x, a, b in zip(got, re, im):
+        assert_canonical(x)
+        assert FractionPair(x) == FractionPair(Fraction(a, scale), Fraction(b, scale))
+        if shared:
+            assert x is SHARED[a, b]
+        elif not (a or b):
+            assert x is ZERO
+
+
 @PROPERTY
 @given(gaussians(10**6))
 def test_format_parse_round_trip(x):
@@ -256,7 +291,10 @@ def test_parse_reduces_unreduced_spellings(a, d, b, e):
     for text, value in spellings.items():
         got = parse_gaussian(text)
         assert_canonical(got)
-        assert got == value
+        assert FractionPair(got) == FractionPair(value)
+        parts = got.integer_parts()
+        if parts[2] == 1 and parts[:2] in SHARED:
+            assert got is SHARED[parts[:2]]
 
 
 @st.composite

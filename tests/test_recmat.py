@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,25 @@ def test_sums_start_at_their_first_product(monkeypatch):
     prod = rec_product(ONES, ONES)
     assert len(adds) == 4
     assert all(m.entries == (GaussianRational(2),) for _, m in prod.shift_items())
+    # minimize's dot products: two terms are one addition, none are ZERO
+    adds.clear()
+    assert recmat._dot([ONE, I, GaussianRational(7)], [I, GaussianRational(3), ZERO]) == 4 * I
+    assert recmat._dot([ONE], [ZERO]) is ZERO
+    assert len(adds) == 1
+
+
+def test_unfolded_small_values_are_shared():
+    # H at depth 8 has 65,536 cells and four distinct values: one scalar
+    # object per cell would hold 3.5 MB beside the 0.5 MB tuple of entries
+    unfold(H, 2)
+    tracemalloc.start()
+    try:
+        table = unfold(H, 8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20 and peak < 4 << 20, (held, peak)
+    assert len(table.entries) == 4**8 and len(set(map(id, table.entries))) == 4
 
 
 def test_minimize_preserves_function_and_shrinks():
