@@ -4,135 +4,46 @@ Gaussian-rational arithmetic, exact dense linear algebra, linear
 presentations of functions on word pairs (evaluation, unfolding, products,
 minimization), folding/digit-sum sequence tooling, and Jacobi continued
 fractions from moments, plus a verification CLI (`recqi`).
+
+Importing the package loads no submodule: each exported name below loads
+its home module on first use (PEP 562), so a CLI command compiles only the
+modules it runs.
 """
 
-from .errors import DegeneracyError, ParseError
-from .gaussian import (
-    GAUSSIAN_UNITS,
-    I,
-    ONE,
-    ZERO,
-    GaussianRational,
-    as_gaussian,
-    format_gaussian,
-    parse_gaussian,
-    pow_i,
-)
-from .jacobi import (
-    JFraction,
-    hankel_ratio_check,
-    jfraction_from_moments,
-    jfraction_to_series,
-    moment_sequence,
-    u_formula,
-    v_formula,
-)
-from .linalg import (
-    DenseMatrix,
-    SpanBasis,
-    bareiss_leading_minors,
-    det_bareiss,
-    det_field,
-    kernel_basis,
-    mat_mul,
-    rref,
-)
-from .recmat import (
-    Presentation,
-    WordPair,
-    builtin,
-    complexity,
-    evaluate,
-    index_to_word,
-    minimize,
-    observation_kernel,
-    rec_convolution,
-    rec_hadamard,
-    rec_product,
-    rec_scale,
-    rec_sum,
-    rec_transpose,
-    same_function,
-    unfold,
-    unfold_levels,
-    word_pairs,
-    zero_presentation,
-)
-from .report import VerificationReport
-from .thuemorse import (
-    ALL_PLUS,
-    SeriesTruncation,
-    SignSequence,
-    beta_coeffs,
-    fold,
-    folding_product,
-    gamma_coeffs,
-    hankel,
-    hankel_det_table,
-    moment,
-    series_product,
-    tau,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_PLUS",
-    "DegeneracyError",
-    "DenseMatrix",
-    "GAUSSIAN_UNITS",
-    "GaussianRational",
-    "I",
-    "JFraction",
-    "ONE",
-    "ParseError",
-    "Presentation",
-    "SeriesTruncation",
-    "SignSequence",
-    "SpanBasis",
-    "VerificationReport",
-    "WordPair",
-    "ZERO",
-    "as_gaussian",
-    "bareiss_leading_minors",
-    "beta_coeffs",
-    "builtin",
-    "complexity",
-    "det_bareiss",
-    "det_field",
-    "evaluate",
-    "fold",
-    "folding_product",
-    "format_gaussian",
-    "gamma_coeffs",
-    "hankel",
-    "hankel_det_table",
-    "hankel_ratio_check",
-    "index_to_word",
-    "jfraction_from_moments",
-    "jfraction_to_series",
-    "kernel_basis",
-    "mat_mul",
-    "minimize",
-    "moment",
-    "moment_sequence",
-    "observation_kernel",
-    "parse_gaussian",
-    "pow_i",
-    "rec_convolution",
-    "rec_hadamard",
-    "rec_product",
-    "rec_scale",
-    "rec_sum",
-    "rec_transpose",
-    "rref",
-    "same_function",
-    "series_product",
-    "tau",
-    "u_formula",
-    "unfold",
-    "unfold_levels",
-    "v_formula",
-    "word_pairs",
-    "zero_presentation",
-]
+# home module -> the names it exports
+_EXPORTS = {
+    "errors": "DegeneracyError ParseError",
+    "gaussian": "GAUSSIAN_UNITS I ONE ZERO GaussianRational"
+    " as_gaussian format_gaussian parse_gaussian pow_i",
+    "jacobi": "JFraction jfraction_from_moments jfraction_to_series"
+    " u_formula v_formula",
+    "linalg": "DenseMatrix SpanBasis bareiss_leading_minors det_bareiss"
+    " det_field kernel_basis mat_mul rref",
+    "recmat": "Presentation WordPair builtin complexity evaluate index_to_word"
+    " minimize rec_convolution rec_hadamard rec_product rec_scale rec_sum"
+    " rec_transpose same_function unfold unfold_levels zero_presentation",
+    "report": "VerificationReport",
+    "thuemorse": "ALL_PLUS SeriesTruncation SignSequence beta_coeffs fold"
+    " folding_product gamma_coeffs hankel hankel_det_table moment"
+    " series_product tau",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

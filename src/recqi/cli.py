@@ -14,38 +14,14 @@ entry (3, 2) at depth 2 is written as row "11", column "01".
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-from pathlib import Path
 
 from .errors import DegeneracyError
-from .gaussian import GAUSSIAN_UNITS, ONE, format_gaussian
-from .jacobi import jfraction_from_moments, u_formula, v_formula
-from .linalg import mat_mul
-from .recmat import (
-    Presentation,
-    WordPair,
-    builtin,
-    evaluate,
-    minimize,
-    rec_convolution,
-    rec_hadamard,
-    rec_product,
-    rec_sum,
-    rec_transpose,
-    unfold,
-    unfold_levels,
-)
 from .report import VerificationReport
-from .thuemorse import (
-    SignSequence,
-    beta_coeffs,
-    folding_product,
-    gamma_coeffs,
-    hankel_det_table,
-    series_product,
-)
+
+# Each report and command imports the math modules it runs when it is called
+# and reads their functions from the module then, so a launch compiles only
+# what its command needs and a rebound module attribute takes effect.
 
 # largest sizes the verification tables take: each admits the documented and
 # benchmarked sizes, and keeps a run with the other flags at their defaults
@@ -77,17 +53,23 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
         raise ValueError(f"{flag} {value} is more than the cap of {cap}")
 
 
-def determinant_report(max_n: int, sigma: SignSequence | None) -> VerificationReport:
-    """Hankel determinant of order n+1 vs the folding product, n = 0..max_n."""
+def determinant_report(max_n: int, sigma) -> VerificationReport:
+    """Hankel determinant of order n+1 vs the folding product, n = 0..max_n.
+
+    ``sigma`` is a ``SignSequence`` of fold directions, or None for all plus.
+    """
+    from . import gaussian, thuemorse
+
     if max_n < 0:
         raise ValueError("--max-n must be nonnegative")
     _check_cap("--max-n", max_n, MAX_N)
-    series = series_product(sigma, 2 * max_n)
-    dets = hankel_det_table(series.coefficient, 0, max_n + 1)
+    series = thuemorse.series_product(sigma, 2 * max_n)
+    dets = thuemorse.hankel_det_table(series.coefficient, 0, max_n + 1)
     report = VerificationReport(("n", "det_order_n_plus_1", "folding_product", "match"))
+    fmt = gaussian.format_gaussian
     for n in range(max_n + 1):
-        det = format_gaussian(dets[n + 1])
-        fold = format_gaussian(folding_product(n, sigma))
+        det = fmt(dets[n + 1])
+        fold = fmt(thuemorse.folding_product(n, sigma))
         report.add((n, det, fold), det == fold)
     return report
 
@@ -100,69 +82,80 @@ def lu_report(depth: int) -> VerificationReport:
     shapes, and the diagonal product equals both the Hankel determinant and
     the folding product.
     """
+    from . import gaussian, linalg, recmat, thuemorse
+
     if not 0 <= depth <= 8:
         raise ValueError("--depth must lie in 0..8")
-    moments = series_product(None, 2 ** (depth + 1))
-    dets = hankel_det_table(moments.coefficient, 0, 2**depth)
+    moments = thuemorse.series_product(None, 2 ** (depth + 1))
+    dets = thuemorse.hankel_det_table(moments.coefficient, 0, 2**depth)
     report = VerificationReport(("n", "diag_product", "folding_product", "match"))
+    fmt = gaussian.format_gaussian
     # each presentation is unfolded once, its levels read in lockstep
-    levels = zip(*(unfold_levels(builtin(name), depth) for name in "LUDH"))
+    unfoldings = (recmat.unfold_levels(recmat.builtin(name), depth) for name in "LUDH")
+    levels = zip(*unfoldings)
     for n, (low, upp, dia, han) in enumerate(levels):
         size = 2**n
-        ok_product = mat_mul(low, upp) == han
+        ok_product = linalg.mat_mul(low, upp) == han
         ok_shapes = (
             low.is_unit_lower_triangular()
             and dia.is_diagonal()
             and upp.is_upper_triangular()
         )
-        diag_prod = ONE
+        diag_prod = gaussian.ONE
         for x in dia.diagonal():
             diag_prod = diag_prod * x
-        fold_prod = folding_product(size - 1)
+        fold_prod = thuemorse.folding_product(size - 1)
         ok_dets = diag_prod == dets[size] and diag_prod == fold_prod
         report.add(
-            (n, format_gaussian(diag_prod), format_gaussian(fold_prod)),
-            ok_product and ok_shapes and ok_dets,
+            (n, fmt(diag_prod), fmt(fold_prod)), ok_product and ok_shapes and ok_dets
         )
     return report
 
 
 def jfraction_report(count: int) -> VerificationReport:
     """Continued-fraction coefficients u_n, v_n vs their closed forms, n <= count."""
+    from . import gaussian, jacobi, thuemorse
+
     if count < 0:
         raise ValueError("--count must be nonnegative")
     _check_cap("--count", count, MAX_COUNT)
     depth = count + 1
-    series = series_product(None, 2 * depth)
-    jf = jfraction_from_moments(series.coefficients, depth)
+    series = thuemorse.series_product(None, 2 * depth)
+    jf = jacobi.jfraction_from_moments(series.coefficients, depth)
     report = VerificationReport(
         ("n", "u_computed", "u_formula", "v_computed", "v_formula", "match")
     )
+    fmt = gaussian.format_gaussian
     for n in range(count + 1):
-        u_c = format_gaussian(jf.u_coeff(n))
-        u_f = format_gaussian(u_formula(n))
+        u_c = fmt(jf.u_coeff(n))
+        u_f = fmt(jacobi.u_formula(n))
         # v starts at index 1; row 0 leaves its cells empty
-        v_c = format_gaussian(jf.v_coeff(n)) if n else ""
-        v_f = format_gaussian(v_formula(n)) if n else ""
+        v_c = fmt(jf.v_coeff(n)) if n else ""
+        v_f = fmt(jacobi.v_formula(n)) if n else ""
         report.add((n, u_c, u_f, v_c, v_f), u_c == u_f and v_c == v_f)
     return report
 
 
-def unit_det_report(
-    coeff_fn, max_order: int, offset: int, label: str
-) -> VerificationReport:
-    """Hankel determinants of orders 1..max_order tested for unit values."""
+def unit_det_report(series: str, max_order: int, offset: int) -> VerificationReport:
+    """Hankel determinants of orders 1..max_order tested for unit values.
+
+    ``series`` is "beta" or "gamma": the table reads the coefficients of
+    ``thuemorse.beta_coeffs`` or ``thuemorse.gamma_coeffs`` from ``offset``.
+    """
+    from . import gaussian, thuemorse
+
     if max_order < 0:
         raise ValueError("--max-order must be nonnegative")
     if offset < 0:
         raise ValueError("--offset must be nonnegative")
     _check_cap("--max-order", max_order, MAX_ORDER)
     _check_cap("--offset", offset, MAX_OFFSET)
-    series = coeff_fn(offset + 2 * max_order)
-    dets = hankel_det_table(series.coefficient, offset, max_order)
-    report = VerificationReport(("order", label, "expected", "match"))
+    coeffs = getattr(thuemorse, f"{series}_coeffs")(offset + 2 * max_order)
+    dets = thuemorse.hankel_det_table(coeffs.coefficient, offset, max_order)
+    report = VerificationReport(("order", f"{series}_det", "expected", "match"))
+    fmt = gaussian.format_gaussian
     for k in range(1, max_order + 1):
-        report.add((k, format_gaussian(dets[k]), "unit"), dets[k] in GAUSSIAN_UNITS)
+        report.add((k, fmt(dets[k]), "unit"), dets[k] in gaussian.GAUSSIAN_UNITS)
     return report
 
 
@@ -170,6 +163,10 @@ def conjecture_report(
     trials: int, prefix_len: int, max_n: int, seed: int
 ) -> VerificationReport:
     """The determinant table under random sign prefixes, one row per trial."""
+    import random
+
+    from .thuemorse import SignSequence
+
     if trials < 0 or prefix_len < 0:
         raise ValueError("--trials and --prefix-len must be nonnegative")
     if max_n < 0:
@@ -186,30 +183,44 @@ def conjecture_report(
     return report
 
 
-def _load_presentation(source: str) -> Presentation:
+def _sign_sequence(text: str | None):
+    """The --sigma argument as a SignSequence; None when it was not given."""
+    from .thuemorse import SignSequence
+
+    return None if text is None else SignSequence.from_string(text)
+
+
+def _load_presentation(source: str):
+    from . import recmat
+
     if source.startswith("builtin:"):
-        return builtin(source[len("builtin:") :])
+        return recmat.builtin(source[len("builtin:") :])
     with open(source, "rb") as fh:
         data = fh.read(MAX_JSON_BYTES + 1)
     if len(data) > MAX_JSON_BYTES:
         raise ValueError(f"{source} is more than the cap of {MAX_JSON_BYTES} bytes")
     # decoded as a text-mode read decodes it: "\r\n" and "\r" read as "\n"
     text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    return Presentation.from_json_text(text)
+    return recmat.Presentation.from_json_text(text)
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_recmat_eval(args) -> int:
+    from . import gaussian, recmat
+
     pres = _load_presentation(args.presentation)
-    pair = WordPair.from_strings(pres.p, pres.q, args.row, args.col)
-    value = format_gaussian(evaluate(pres, pair))
+    pair = recmat.WordPair.from_strings(pres.p, pres.q, args.row, args.col)
+    value = gaussian.format_gaussian(recmat.evaluate(pres, pair))
     if args.format == "json":
+        import json
+
         _emit(json.dumps({"value": value}) + "\n", args.output)
     else:
         _emit(value + "\n", args.output)
@@ -217,6 +228,8 @@ def cmd_recmat_eval(args) -> int:
 
 
 def cmd_recmat_unfold(args) -> int:
+    from . import gaussian, recmat
+
     pres = _load_presentation(args.presentation)
     if args.depth < 0:
         raise ValueError("--depth must be nonnegative")
@@ -235,10 +248,13 @@ def cmd_recmat_unfold(args) -> int:
         )
     # the deepest level p*q >= 2 reaches under the cell cap; p = q = 1 stops there too
     _check_cap("--depth", args.depth, MAX_UNFOLD_CELLS.bit_length() - 1)
-    matrix = unfold(pres, args.depth)
+    matrix = recmat.unfold(pres, args.depth)
     if args.format == "json":
+        import json
+
+        fmt = gaussian.format_gaussian
         rows = [
-            [format_gaussian(matrix[r, c]) for c in range(matrix.cols)]
+            [fmt(matrix[r, c]) for c in range(matrix.cols)]
             for r in range(matrix.rows)
         ]
         _emit(json.dumps(rows, indent=2) + "\n", args.output)
@@ -247,16 +263,19 @@ def cmd_recmat_unfold(args) -> int:
     return 0
 
 
+# each `recmat` operation names the function of `recqi.recmat` it runs
 _BINARY_OPS = {
-    "sum": rec_sum,
-    "product": rec_product,
-    "hadamard": rec_hadamard,
-    "convolve": rec_convolution,
+    "sum": "rec_sum",
+    "product": "rec_product",
+    "hadamard": "rec_hadamard",
+    "convolve": "rec_convolution",
 }
 
 
 def cmd_recmat_binary(args) -> int:
-    op = _BINARY_OPS[args.op]
+    from . import recmat
+
+    op = getattr(recmat, _BINARY_OPS[args.op])
     left = _load_presentation(args.left)
     right = _load_presentation(args.right)
     a, b = left.dim, right.dim
@@ -271,13 +290,15 @@ def cmd_recmat_binary(args) -> int:
 
 
 _UNARY_OPS = {
-    "transpose": rec_transpose,
-    "minimize": minimize,
+    "transpose": "rec_transpose",
+    "minimize": "minimize",
 }
 
 
 def cmd_recmat_unary(args) -> int:
-    op = _UNARY_OPS[args.op]
+    from . import recmat
+
+    op = getattr(recmat, _UNARY_OPS[args.op])
     pres = _load_presentation(args.presentation)
     _emit(op(pres).to_json_text(), args.output)
     return 0
@@ -302,9 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         " (write --sigma=-++ when the prefix starts with a minus)",
     )
     p.set_defaults(
-        func=lambda a: determinant_report(
-            a.max_n, None if a.sigma is None else SignSequence.from_string(a.sigma)
-        ).emit()
+        func=lambda a: determinant_report(a.max_n, _sign_sequence(a.sigma)).emit()
     )
 
     p = sub.add_parser(
@@ -325,18 +344,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, required=True, dest="max_order")
     p.add_argument("--offset", type=int, default=1)
     p.set_defaults(
-        func=lambda a: unit_det_report(
-            beta_coeffs, a.max_order, a.offset, "beta_det"
-        ).emit()
+        func=lambda a: unit_det_report("beta", a.max_order, a.offset).emit()
     )
 
     p = sub.add_parser("gamma-hankel", help="two-step difference Hankel determinants")
     p.add_argument("--max-order", type=int, required=True, dest="max_order")
     p.add_argument("--offset", type=int, default=2)
     p.set_defaults(
-        func=lambda a: unit_det_report(
-            gamma_coeffs, a.max_order, a.offset, "gamma_det"
-        ).emit()
+        func=lambda a: unit_det_report("gamma", a.max_order, a.offset).emit()
     )
 
     p = sub.add_parser(

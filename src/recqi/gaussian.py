@@ -142,13 +142,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self._a or self._b)
 
-    def conjugate(self) -> "GaussianRational":
-        return _new(self._a, -self._b, self._d)
-
-    def norm(self) -> Fraction:
-        """re^2 + im^2, the multiplicative norm down to Q."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def __str__(self) -> str:
         return format_gaussian(self)
 

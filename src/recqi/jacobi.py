@@ -16,7 +16,7 @@ from the table v_1..v_7 = 1+i, 1, -i, i, 1, -i, 1 (see :func:`v_formula`).
 from __future__ import annotations
 
 from .errors import DegeneracyError
-from .gaussian import ZERO, ONE, I, GaussianRational, as_gaussian, pow_i
+from .gaussian import ZERO, ONE, I, GaussianRational, as_gaussian
 from .linalg import hankel_recurrence
 from .thuemorse import SeriesTruncation
 
@@ -168,30 +168,3 @@ def v_formula(n: int) -> GaussianRational:
             return ONE
         n = a
     return _V_TABLE[n]
-
-
-def hankel_ratio_check(dets, jf: JFraction):
-    """Pairs (v_n, det ratio) for n = 1..depth, from a determinant table.
-
-    ``dets[k]`` must be the order-k Hankel determinant (``dets[0]`` = 1).
-    The identity: v_n = dets[n-1] * dets[n+1] / dets[n]^2. A zero
-    determinant inside the checked range raises DegeneracyError naming its
-    order.
-    """
-    dets = [as_gaussian(x) for x in dets]
-    limit = min(jf.depth, len(dets) - 2)
-    for k in range(1, limit + 2):
-        if not dets[k]:
-            raise DegeneracyError(
-                f"Hankel determinant of order {k} vanishes", level=k
-            )
-    out = []
-    for n in range(1, limit + 1):
-        ratio = dets[n - 1] * dets[n + 1] / (dets[n] * dets[n])
-        out.append((jf.v_coeff(n), ratio))
-    return out
-
-
-def moment_sequence(count: int) -> list[GaussianRational]:
-    """The first ``count`` digit-sum moments i^tau(n)."""
-    return [pow_i(n.bit_count()) for n in range(count)]

@@ -127,13 +127,6 @@ class DenseMatrix:
             return NotImplemented
         return self + other.scale(-1)
 
-    def entrywise_product(self, other: "DenseMatrix") -> "DenseMatrix":
-        if (self._rows, self._cols) != (other._rows, other._cols):
-            raise ValueError("shape mismatch")
-        return DenseMatrix(
-            self._rows, self._cols, [a * b for a, b in zip(self._e, other._e)]
-        )
-
     def __matmul__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented

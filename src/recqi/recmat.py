@@ -21,6 +21,7 @@ products of the operands' shifts placed as blocks, built by one routine.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from .errors import ParseError
@@ -107,14 +108,6 @@ class WordPair:
         rw = "".join(map(str, self.row_word))
         cw = "".join(map(str, self.col_word))
         return f"WordPair({rw!r}, {cw!r})"
-
-
-def word_pairs(p: int, q: int, length: int):
-    """All pairs of the given length, ordered by (row index, column index)."""
-    for r in range(p**length):
-        rw = index_to_word(r, p, length)
-        for c in range(q**length):
-            yield WordPair(p, q, rw, index_to_word(c, q, length))
 
 
 class Presentation:
@@ -310,17 +303,58 @@ def _apply_action(cols, vec):
     return out
 
 
+# largest part, in bits, of a vector that `evaluate` or `minimize` computes:
+# builtin compositions stay under 2^8 bits, dense entries double every 2 dims
+# in an orbit and grow by a fixed amount per letter in `evaluate`; the cap
+# keeps every value far below CPython's 4300-digit limit on int-to-str
+MAX_ORBIT_BITS = 2**12
+
+
+def _check_bits(largest: int, what: str) -> None:
+    bits = largest.bit_length()
+    if bits > MAX_ORBIT_BITS:
+        raise ValueError(
+            f"{what} has an entry of {bits} bits, more than the cap of {MAX_ORBIT_BITS}"
+        )
+
+
 def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
-    """Value of the represented function at a word pair."""
+    """Value of the represented function at a word pair.
+
+    Raises ValueError once the vector after a letter has a part of more than
+    MAX_ORBIT_BITS bits."""
     if pair.p != pres.p or pair.q != pres.q:
         raise ValueError("word pair alphabets do not match the presentation")
     if pres.dim == 0:
         return ZERO
-    actions = {key: _columns(m) for key, m in pres.shift_items()}
-    vec = list(pres.init)
-    for s, t in pair.letters():
-        vec = _apply_action(actions[(s, t)], vec)
-    return vec[0]
+    actions, lift = _int_actions(pres)
+    init_re, init_im, scale = _int_parts(pres.init)
+    level = [([x], [y]) for x, y in zip(init_re, init_im)]
+    for k, (s, t) in enumerate(pair.letters(), 1):
+        level = [_combine(col, level) for col in actions[s * pres.q + t]]
+        # the vector is its int parts over scale with their content divided
+        # out, so a value that stays bounded keeps small parts
+        parts = [z for x_re, x_im in level for z in x_re + x_im]
+        g = math.gcd(scale * lift, *parts)
+        level = [([x // g], [y // g]) for (x,), (y,) in level]
+        scale = scale * lift // g
+        _check_bits(max(scale, *map(abs, parts)) // g, f"the vector after letter {k}")
+    (a,), (b,) = level[0]
+    return _from_int_parts([a], [b], scale)[0]
+
+
+def _int_actions(pres: Presentation) -> tuple[list, int]:
+    """The shifts as int lists: per shift s * q + t and column j, the
+    (k, re, im) of each nonzero L * shift(s, t)[k, j], with L the lcm of the
+    denominators of every shift entry; and L."""
+    dim = pres.dim
+    w_re, w_im, lift = _int_parts([x for _, m in pres.shift_items() for x in m.entries])
+    # with no generators, one that every shift kills stands for the zero function
+    actions = [[[] for _ in range(dim)] or [[]] for _ in range(pres.p * pres.q)]
+    for e, (a, b) in enumerate(zip(w_re, w_im)):
+        if a or b:
+            actions[e // (dim * dim)][e % dim].append((e // dim % dim, a, b))
+    return actions, lift
 
 
 def unfold_levels(pres: Presentation, depth: int):
@@ -334,14 +368,8 @@ def unfold_levels(pres: Presentation, depth: int):
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    q, dim = pres.q, pres.dim
-    w_re, w_im, lift = _int_parts([x for _, m in pres.shift_items() for x in m.entries])
-    # column j of shift s * q + t: (k, re, im) of its nonzero L * (k, j); with
-    # no generators, one that every shift kills stands for the zero function
-    actions = [[[] for _ in range(dim)] or [[]] for _ in range(pres.p * q)]
-    for e, (a, b) in enumerate(zip(w_re, w_im)):
-        if a or b:
-            actions[e // (dim * dim)][e % dim].append((e // dim % dim, a, b))
+    q = pres.q
+    actions, lift = _int_actions(pres)
     re, im, scale = _int_parts(pres.init)
     level = [([x], [y]) for x, y in zip(re, im)] or [([0], [0])]
     pr, qc = 1, 1
@@ -535,10 +563,6 @@ def _dot(xs, ys) -> GaussianRational:
     return sum(terms[1:], terms[0]) if terms else ZERO
 
 
-# builtin compositions stay under 2^8 bits; dense entries double every 2 dims
-MAX_ORBIT_BITS = 2**12
-
-
 def _orbit_span(seed, actions) -> SpanBasis:
     """Span of seed and of its images under every word over the actions:
     the reachable span takes the columns of the transposed shifts, the
@@ -549,28 +573,13 @@ def _orbit_span(seed, actions) -> SpanBasis:
     work = [] if first is None else [first]
     while work:
         vec = work.pop()
-        bits = max(abs(z) for x in vec for z in x.integer_parts()).bit_length()
-        if bits > MAX_ORBIT_BITS:
-            raise ValueError(
-                f"an orbit vector has an entry of {bits} bits,"
-                f" more than the cap of {MAX_ORBIT_BITS}"
-            )
+        largest = max(abs(z) for x in vec for z in x.integer_parts())
+        _check_bits(largest, "an orbit vector")
         for cols in actions:
             added = span.add(_apply_action(cols, vec))
             if added is not None:
                 work.append(added)
     return span
-
-
-def observation_kernel(pres: Presentation) -> list:
-    """Vectors x with (init row) . (any shift word) . x = 0.
-
-    A generator combination lies here exactly when the combined function
-    vanishes identically; computed from the observation orbit.
-    """
-    obs = _orbit_span(list(pres.init), [_columns(m) for _, m in pres.shift_items()])
-    rows = [x for vec in obs.vectors() for x in vec]
-    return kernel_basis(DenseMatrix(obs.dim, pres.dim, rows))
 
 
 def minimize(pres: Presentation) -> Presentation:

@@ -57,10 +57,6 @@ class SignSequence:
                 raise ParseError("expected '+' or '-'", pos)
         return cls(signs)
 
-    @property
-    def prefix(self) -> tuple:
-        return self._prefix
-
     def __getitem__(self, k: int) -> int:
         if k < 0:
             raise IndexError("sign index must be nonnegative")

@@ -16,6 +16,7 @@ from recqi import (
     ZERO,
     ONE,
     I,
+    DegeneracyError,
     DenseMatrix,
     GaussianRational,
     Presentation,
@@ -24,7 +25,9 @@ from recqi import (
     WordPair,
     as_gaussian,
     evaluate,
+    index_to_word,
     kernel_basis,
+    pow_i,
 )
 
 UNIT_POOL = (
@@ -89,12 +92,6 @@ class FractionPair:
         n = c * c + d * d
         return FractionPair((a * c + b * d) / n, (b * c - a * d) / n)
 
-    def conjugate(self):
-        return FractionPair(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __eq__(self, other):
         other = FractionPair(other)
         return (self.re, self.im) == (other.re, other.im)
@@ -113,6 +110,44 @@ def mat_mul_by_sums(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
             for c in range(b.cols)
         ],
     )
+
+
+def entrywise_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """Entry (r, c) is a[r, c] * b[r, c]."""
+    assert (a.rows, a.cols) == (b.rows, b.cols)
+    return DenseMatrix(a.rows, a.cols, [x * y for x, y in zip(a.entries, b.entries)])
+
+
+def moment_sequence(count: int) -> list[GaussianRational]:
+    """The first ``count`` digit-sum moments i^tau(n), tau(n) from bit_count."""
+    return [pow_i(n.bit_count()) for n in range(count)]
+
+
+def hankel_ratio_check(dets, jf):
+    """Pairs (v_n, det ratio) for n = 1..depth, from a determinant table.
+
+    ``dets[k]`` must be the order-k Hankel determinant (``dets[0]`` = 1).
+    The identity: v_n = dets[n-1] * dets[n+1] / dets[n]^2. A zero
+    determinant inside the checked range raises DegeneracyError naming its
+    order.
+    """
+    dets = [as_gaussian(x) for x in dets]
+    limit = min(jf.depth, len(dets) - 2)
+    for k in range(1, limit + 2):
+        if not dets[k]:
+            raise DegeneracyError(f"Hankel determinant of order {k} vanishes", level=k)
+    return [
+        (jf.v_coeff(n), dets[n - 1] * dets[n + 1] / (dets[n] * dets[n]))
+        for n in range(1, limit + 1)
+    ]
+
+
+def word_pairs(p: int, q: int, length: int):
+    """All pairs of the given length, ordered by (row index, column index)."""
+    for r in range(p**length):
+        rw = index_to_word(r, p, length)
+        for c in range(q**length):
+            yield WordPair(p, q, rw, index_to_word(c, q, length))
 
 
 def random_gaussian(rng, span=12) -> GaussianRational:

@@ -23,12 +23,10 @@ from recqi import (
     gamma_coeffs,
     hankel,
     hankel_det_table,
-    hankel_ratio_check,
     index_to_word,
     jfraction_from_moments,
     minimize,
     moment,
-    moment_sequence,
     pow_i,
     rec_convolution,
     rec_hadamard,
@@ -39,11 +37,18 @@ from recqi import (
     u_formula,
     unfold,
     v_formula,
-    word_pairs,
 )
 from recqi import linalg
 from recqi.cli import main
-from oracles import convolution_oracle, det_cofactor, random_presentation
+from oracles import (
+    convolution_oracle,
+    det_cofactor,
+    entrywise_product,
+    hankel_ratio_check,
+    moment_sequence,
+    random_presentation,
+    word_pairs,
+)
 
 
 def report(number: int, ok: bool, detail: str) -> bool:
@@ -128,7 +133,7 @@ def test_criterion_4_presentation_calculus():
         for depth in range(5):
             ua, ub = unfold(pa, depth), unfold(pb, depth)
             ok = ok and unfold(total, depth) == ua + ub
-            ok = ok and unfold(had, depth) == ua.entrywise_product(ub)
+            ok = ok and unfold(had, depth) == entrywise_product(ua, ub)
             ok = ok and unfold(flip, depth) == ua.transpose()
             ok = ok and unfold(prod_one, depth) == ua @ unfold(pc, depth)
             ok = ok and unfold(prod_two, depth) == ub @ unfold(pd, depth)

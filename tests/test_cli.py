@@ -9,6 +9,8 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from recqi import (
     builtin,
     same_function,
 )
-from recqi import cli
+from recqi import cli, recmat, thuemorse
 from recqi.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -271,6 +273,39 @@ def test_eval_rejects_bad_word(capsys):
     assert err.startswith("error:")
 
 
+def test_eval_refuses_vector_parts_past_the_cap(capsys, tmp_path):
+    # dim 12, p = q = 1, every init and shift entry a/b + (c/d)i with a, c in
+    # 1..9 and b, d in 2..9: the parts grow by about 15 bits a letter, so
+    # without the cap 1000 letters ran for minutes and then hit CPython's
+    # 4300-digit limit on int-to-str
+    rng = random.Random(5)
+
+    def entry():
+        re_ = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        return GaussianRational(re_, Fraction(rng.randint(1, 9), rng.randint(2, 9)))
+
+    dim = 12
+    init = [entry() for _ in range(dim)]
+    shift = DenseMatrix(dim, dim, [entry() for _ in range(dim * dim)])
+    path = tmp_path / "dense.json"
+    path.write_text(Presentation(1, 1, init, {(0, 0): shift}).to_json_text())
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "recmat", "eval", str(path), "0" * 1000, "0" * 1000)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: the vector after letter \d+ has an entry of \d+ bits,"
+        r" more than the cap of 4096\n",
+        err,
+    )
+    # a value that stays bounded passes any length: 1/2 in every entry keeps
+    # the vector at (1, 1)
+    half = DenseMatrix(2, 2, [Fraction(1, 2)] * 4)
+    path.write_text(Presentation(1, 1, [ONE, ONE], {(0, 0): half}).to_json_text())
+    word = "0" * 20000
+    assert run_cli(capsys, "recmat", "eval", str(path), word, word) == (0, "1\n", "")
+
+
 def test_unfold_csv_and_json(capsys):
     code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:H", "--depth", "1")
     assert code == 0
@@ -312,7 +347,7 @@ def test_unfold_rejects_tables_over_the_cell_cap(capsys, depth):
 
 def test_unfold_cap_admits_depth_nine(capsys, monkeypatch):
     # 2^9 x 2^9 cells is exactly the cap; a stub stands in for the table
-    monkeypatch.setattr(cli, "unfold", lambda pres, depth: DenseMatrix.zeros(1, 1))
+    monkeypatch.setattr(recmat, "unfold", lambda pres, depth: DenseMatrix.zeros(1, 1))
     code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:H", "--depth", "9")
     assert code == 0
     assert out == "0\n"
@@ -389,7 +424,7 @@ def test_unfold_cap_counts_the_generators(capsys, tmp_path):
 
 def test_unfold_value_cap_admits_the_builtins(capsys, monkeypatch):
     # builtin:U has 12 generators: 4^8 cells fit the value cap, 4^9 do not
-    monkeypatch.setattr(cli, "unfold", lambda pres, depth: DenseMatrix.zeros(1, 1))
+    monkeypatch.setattr(recmat, "unfold", lambda pres, depth: DenseMatrix.zeros(1, 1))
     code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:U", "--depth", "8")
     assert code == 0
     code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:U", "--depth", "9")
@@ -412,7 +447,7 @@ def builds(monkeypatch):
         raise TableBuilt
 
     for name in ("series_product", "beta_coeffs", "gamma_coeffs"):
-        monkeypatch.setattr(cli, name, stub)
+        monkeypatch.setattr(thuemorse, name, stub)
     return calls
 
 
@@ -479,7 +514,7 @@ def test_result_dim_cap_refuses_one_past_the_bound(
     tmp_path, capsys, monkeypatch, op, a, b, dim
 ):
     built = []
-    monkeypatch.setitem(cli._BINARY_OPS, op, lambda *args: built.append(args))
+    monkeypatch.setattr(recmat, cli._BINARY_OPS[op], lambda *args: built.append(args))
     left = write_presentation(tmp_path / "a.json", a)
     right = write_presentation(tmp_path / "b.json", b)
     code, out, err = run_cli(capsys, "recmat", op, left, right)
@@ -501,7 +536,7 @@ def test_result_dim_cap_admits_the_bound(tmp_path, capsys, monkeypatch, op, a, b
         built.append((left.dim, right.dim))
         return builtin("zero")
 
-    monkeypatch.setitem(cli._BINARY_OPS, op, stub)
+    monkeypatch.setattr(recmat, cli._BINARY_OPS[op], stub)
     left = write_presentation(tmp_path / "a.json", a)
     right = write_presentation(tmp_path / "b.json", b)
     code, out, err = run_cli(capsys, "recmat", op, left, right)
@@ -756,6 +791,59 @@ def test_module_entry_point():
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "n,det_order_n_plus_1,folding_product,match"
     assert "3/3 rows match" in result.stderr
+
+
+LOADED = """
+import sys
+from recqi.cli import main
+if len(sys.argv) > 1:
+    main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.partition(".")[0] == "recqi"), file=sys.stderr)
+"""
+
+
+def loaded_modules(*argv):
+    """The recqi modules a fresh process holds after importing recqi.cli and
+    running one command."""
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_no_math_module():
+    assert loaded_modules() == {"recqi", "recqi.cli", "recqi.errors", "recqi.report"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("verify-det", "--max-n", "3"), "recqi.recmat"),
+        (("jfraction", "--count", "3"), "recqi.recmat"),
+        (("recmat", "unfold", "builtin:H", "--depth", "1"), "recqi.jacobi"),
+    ],
+)
+def test_commands_load_only_what_they_run(argv, absent):
+    modules = loaded_modules(*argv)
+    assert absent not in modules
+    assert "recqi.linalg" in modules
+
+
+def test_exports_resolve_to_their_home_modules():
+    import importlib
+
+    import recqi
+
+    for name, module in recqi._HOME.items():
+        home = importlib.import_module(f"recqi.{module}")
+        assert getattr(recqi, name) is getattr(home, name), name
+    assert set(recqi._HOME) <= set(dir(recqi))
+    with pytest.raises(AttributeError, match="no attribute 'moment_sequence'"):
+        recqi.moment_sequence
 
 
 def readme_examples():

@@ -33,11 +33,10 @@ def test_basic_products():
 
 
 def test_inverse_of_i_minus_one():
-    # conjugate oracle: 1/z = conj(z)/norm(z), norm(i - 1) = 2
+    # conjugate oracle: 1/z = conj(z)/norm(z), conj(i - 1) = -1 - i, norm 2
     z = I - ONE
     expected = GaussianRational(Fraction(-1, 2), Fraction(-1, 2))
-    assert z.conjugate() == GaussianRational(-1, -1)
-    assert z.norm() == 2
+    assert expected == GaussianRational(-1, -1) / 2
     assert ONE / z == expected
     assert expected * z == ONE
 

@@ -15,16 +15,14 @@ from recqi import (
     det_field,
     fold,
     hankel,
-    hankel_ratio_check,
     jfraction_from_moments,
     jfraction_to_series,
     moment,
-    moment_sequence,
     u_formula,
     v_formula,
 )
 from recqi import linalg
-from oracles import UNIT_POOL
+from oracles import UNIT_POOL, hankel_ratio_check, moment_sequence
 
 
 def test_jfraction_container():

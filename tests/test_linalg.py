@@ -56,7 +56,6 @@ def test_arithmetic_and_transpose():
     assert (a + b) - b == a
     assert a.transpose() == DenseMatrix.from_rows([[1, 3], [2, 4]])
     assert a.scale(2) == a + a
-    assert a.entrywise_product(b) == DenseMatrix.from_rows([[0, 2], [3, 0]])
     with pytest.raises(ValueError):
         mat_mul(a, DenseMatrix.zeros(3, 2))
 

@@ -39,16 +39,17 @@ from recqi import (  # noqa: E402
     rref,
     unfold,
     unfold_levels,
-    word_pairs,
     zero_presentation,
 )
 from oracles import (  # noqa: E402
     FractionPair,
     convolution_oracle,
     det_cofactor,
+    entrywise_product,
     jfraction_by_convergents,
     mat_mul_by_sums,
     rref_by_pivoting,
+    word_pairs,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -112,11 +113,8 @@ def test_unary_parts_match_fraction_pairs(x):
     reference = FractionPair(x)
     assert_canonical(x)
     assert (x.re, x.im) == (reference.re, reference.im)
-    assert_canonical(x.conjugate())
-    assert FractionPair(x.conjugate()) == reference.conjugate()
     assert_canonical(-x)
     assert FractionPair(-x) == FractionPair(0) - reference
-    assert type(x.norm()) is Fraction and x.norm() == reference.norm()
     assert bool(x) == bool(reference.re or reference.im)
 
 
@@ -418,7 +416,7 @@ def test_rec_sum_is_the_entrywise_sum(pa, data):
 def test_rec_hadamard_is_the_entrywise_product(pa, data):
     pb = data.draw(presentations(pa.p, pa.q, max_dim=3))
     for ua, ub, had in level_triples(pa, pb, rec_hadamard(pa, pb)):
-        assert had == ua.entrywise_product(ub)
+        assert had == entrywise_product(ua, ub)
 
 
 @BINARY

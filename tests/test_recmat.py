@@ -22,9 +22,9 @@ from recqi import (
     evaluate,
     hankel,
     index_to_word,
+    kernel_basis,
     minimize,
     moment,
-    observation_kernel,
     pow_i,
     rec_convolution,
     rec_hadamard,
@@ -36,15 +36,16 @@ from recqi import (
     same_function,
     tau,
     unfold,
-    word_pairs,
     zero_presentation,
 )
 from oracles import (
     convolution_oracle,
+    entrywise_product,
     random_presentation,
     restriction_kernel,
     saturation_level,
     spans_equal,
+    word_pairs,
 )
 
 
@@ -221,7 +222,7 @@ def test_sum_hadamard_scale_transpose_unfoldings():
         for depth in range(4):
             ua, ub = unfold(pa, depth), unfold(pb, depth)
             assert unfold(total, depth) == ua + ub
-            assert unfold(had, depth) == ua.entrywise_product(ub)
+            assert unfold(had, depth) == entrywise_product(ua, ub)
             assert unfold(scaled, depth) == ua.scale(I)
             assert unfold(flipped, depth) == ua.transpose()
     with pytest.raises(ValueError):
@@ -390,6 +391,15 @@ def test_same_function():
     assert not same_function(H, builtin("L"))
     # different alphabets never represent the same function
     assert not same_function(H, random_presentation(random.Random(0), 2, 3))
+
+
+def observation_kernel(pres):
+    """Vectors x with (init row) . (any shift word) . x = 0, from the
+    observation orbit that ``minimize`` computes."""
+    actions = [recmat._columns(m) for _, m in pres.shift_items()]
+    obs = recmat._orbit_span(list(pres.init), actions)
+    rows = [x for vec in obs.vectors() for x in vec]
+    return kernel_basis(DenseMatrix(obs.dim, pres.dim, rows))
 
 
 def test_saturation_levels():

@@ -57,7 +57,7 @@ def test_moment_is_unit():
 
 def test_sign_sequence():
     s = SignSequence.from_string("+-+")
-    assert s.prefix == (1, -1, 1)
+    assert [s[k] for k in range(3)] == [1, -1, 1]
     assert str(s) == "+-+"
     assert s[1] == -1
     assert s[3] == 1  # beyond the prefix: all plus
