@@ -22,9 +22,9 @@ _EXPORTS = {
     "jacobi": "JFraction jfraction_from_moments jfraction_to_series"
     " u_formula v_formula",
     "linalg": "DenseMatrix SpanBasis bareiss_leading_minors det_bareiss"
-    " det_field kernel_basis mat_mul rref",
-    "recmat": "Presentation WordPair builtin complexity evaluate index_to_word"
-    " minimize rec_convolution rec_hadamard rec_product rec_scale rec_sum"
+    " det_field mat_mul rref",
+    "recmat": "Presentation WordPair builtin complexity evaluate minimize"
+    " rec_convolution rec_hadamard rec_product rec_scale rec_sum"
     " rec_transpose same_function unfold unfold_levels zero_presentation",
     "report": "VerificationReport",
     "thuemorse": "ALL_PLUS SeriesTruncation SignSequence beta_coeffs fold"

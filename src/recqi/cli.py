@@ -43,6 +43,9 @@ MAX_UNFOLD_VALUES = 4**10
 # largest generator count a binary `recmat` op builds, p * q shifts of
 # dim x dim entries; the largest builtin pair, convolve U U, gives 156
 MAX_RESULT_DIM = 256
+# largest p * q * max(dim, 1)^2 a binary op builds: its p * q shifts, an empty
+# one counted as one entry; at p = q = 2 this is the dim cap
+MAX_RESULT_ENTRIES = 4 * MAX_RESULT_DIM**2
 # largest JSON presentation read, in bytes; a p = q = 2, dim-256 file of
 # small Gaussian integers, as binary ops at MAX_RESULT_DIM write, is 3.5 MB
 MAX_JSON_BYTES = 2**22
@@ -284,6 +287,17 @@ def cmd_recmat_binary(args) -> int:
         raise ValueError(
             f"{args.op} of dims {a} and {b} has dim {dim},"
             f" more than the cap of {MAX_RESULT_DIM}"
+        )
+    # operands whose alphabets do not fit keep the operation's own message
+    if args.op == "product":
+        fits = left.q == right.p
+    else:
+        fits = (left.p, left.q) == (right.p, right.q)
+    entries = left.p * right.q * max(dim, 1) ** 2
+    if fits and entries > MAX_RESULT_ENTRIES:
+        raise ValueError(
+            f"{args.op} has {left.p} x {right.q} letter pairs of dim {dim},"
+            f" {entries} entries, more than the cap of {MAX_RESULT_ENTRIES}"
         )
     _emit(op(left, right).to_json_text(), args.output)
     return 0

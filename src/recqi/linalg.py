@@ -1,7 +1,7 @@
 """Dense exact linear algebra over Q(i).
 
 One field elimination, the echelon basis :class:`SpanBasis`, gives span
-membership, the reduced row echelon form, kernels and the field determinant.
+membership, the reduced row echelon form and the field determinant.
 Determinants have two independent routes: field elimination through that
 basis (:func:`det_field`, any Gaussian-rational matrix, the tests'
 reference) and fraction-free Bareiss elimination (big-int kernel, no
@@ -220,22 +220,6 @@ def rref(m: DenseMatrix) -> tuple[DenseMatrix, int, tuple[int, ...]]:
     entries = [x for vec in reduced.vectors() for x in vec]
     entries += [ZERO] * (m.rows * m.cols - len(entries))
     return DenseMatrix(m.rows, m.cols, entries), reduced.dim, reduced.pivots
-
-
-def kernel_basis(m: DenseMatrix) -> list[list[GaussianRational]]:
-    """Basis of {x : m @ x = 0}, one vector per free column, deterministic order."""
-    r, rk, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[free] = ONE
-        for k, p in enumerate(pivots):
-            v[p] = -r[k, free]
-        basis.append(v)
-    return basis
 
 
 def det_field(m: DenseMatrix) -> GaussianRational:
@@ -548,7 +532,7 @@ class SpanBasis:
         for pivot, row in self._rows:
             f = v[pivot]
             if f:
-                v = [x - f * y for x, y in zip(v, row)]
+                v = [x - f * y if y else x for x, y in zip(v, row)]
         return v
 
     def add(self, vec):

@@ -20,7 +20,6 @@ products of the operands' shifts placed as blocks, built by one routine.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 
@@ -34,19 +33,7 @@ from .gaussian import (
     format_gaussian,
     parse_gaussian,
 )
-from .linalg import DenseMatrix, SpanBasis, kernel_basis, rref
-from .linalg import _from_int_parts, _int_parts
-
-
-def index_to_word(index: int, base: int, length: int) -> tuple[int, ...]:
-    """Digits of index in the given base, least significant first."""
-    if index < 0 or index >= base**length:
-        raise ValueError(f"index {index} out of range for length {length}")
-    word = []
-    for _ in range(length):
-        word.append(index % base)
-        index //= base
-    return tuple(word)
+from .linalg import DenseMatrix, SpanBasis, _from_int_parts, _int_parts, rref
 
 
 class WordPair:
@@ -204,6 +191,8 @@ class Presentation:
         }
 
     def to_json_text(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -258,6 +247,8 @@ class Presentation:
 
     @classmethod
     def from_json_text(cls, text: str) -> "Presentation":
+        import json
+
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
@@ -583,62 +574,43 @@ def _orbit_span(seed, actions) -> SpanBasis:
 
 
 def minimize(pres: Presentation) -> Presentation:
-    """Smallest presentation of the same function.
+    """Smallest presentation of the same function; generator 0 is the function.
 
-    Restrict to the forward orbit of the represented coordinate, then quotient
-    by the subspace the observation orbit cannot see. The first generator of
-    the result is the function itself.
+    The generators are e0 and the forward-orbit vectors whose pairings with
+    the observation orbit are independent of those before: independence
+    modulo what no observation sees. The first observation rows independent
+    on them make an invertible block of the pairings, and one solve against
+    it gives every induced shift.
     """
-    d = pres.dim
-    if d == 0:
+    if pres.dim == 0:
         return zero_presentation(pres.p, pres.q)
     mats = pres.shift_items()
     forward = [_columns(mat.transpose()) for _, mat in mats]
-    e0 = [ONE] + [ZERO] * (d - 1)
+    e0 = [ONE] + [ZERO] * (pres.dim - 1)
     fwd = _orbit_span(e0, forward).vectors()
-    obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats])
-    # N = vectors of the forward span annihilated by every observation row
-    ov = [_dot(o, v) for o in obs.vectors() for v in fwd]
-    null_coords = kernel_basis(DenseMatrix(obs.dim, len(fwd), ov))
-    fwd_cols = list(zip(*fwd))
-    null_vectors = [[_dot(col, coords) for col in fwd_cols] for coords in null_coords]
-    m = len(fwd) - len(null_vectors)
-    if m == 0:
-        return zero_presentation(pres.p, pres.q)
-    # complete the null space to a basis of the forward span, first candidate
-    # the represented coordinate itself so generator 0 survives as the function
-    completion = SpanBasis(d)
-    for vec in null_vectors:
-        completion.add(vec)
-    chosen = []
+    obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats]).vectors()
+    kept = SpanBasis(len(obs))
+    chosen, columns = [], []
     for cand in [e0] + fwd:
-        if len(chosen) == m:
-            break
-        if completion.add(cand) is not None:
+        column = [_dot(o, cand) for o in obs]
+        if kept.add(column) is not None:
             chosen.append(cand)
-    if len(chosen) != m:
-        raise AssertionError("forward span completion failed")
-    basis = chosen + null_vectors
-    cols = len(basis)
-    # solve for all induced shift columns at once against the basis matrix
-    rhs = [_apply_action(action, u) for action in forward for u in chosen]
-    aug_rows = []
-    for r in range(d):
-        row = [basis[j][r] for j in range(cols)]
-        row.extend(w[r] for w in rhs)
-        aug_rows.append(row)
-    reduced, rk, pivots = rref(DenseMatrix.from_rows(aug_rows))
-    if pivots[:cols] != tuple(range(cols)) or rk != cols:
-        raise AssertionError("quotient basis is not independent")
+            columns.append(column)
+    m = len(chosen)
+    # shift(s, t) u_j minus its coordinates x in the chosen vectors pairs to 0
+    # with every observation, so block x = its pairings: [block | pairings] ~ [I | x]
+    images = [_apply_action(action, u) for action in forward for u in chosen]
+    block, rows = SpanBasis(m), []
+    for o, row in zip(obs, zip(*columns)):
+        if len(rows) < m and block.add(row) is not None:
+            rows.append([*row, *(_dot(o, w) for w in images)])
+    reduced, _, pivots = rref(DenseMatrix.from_rows(rows))
+    if pivots != tuple(range(m)):
+        raise AssertionError("pairing block is not invertible")
     new_shifts = {}
-    idx = 0
-    for (s, t), _ in mats:
-        entries = []
-        for k in range(m):
-            for j in range(m):
-                entries.append(reduced[k, cols + idx + j])
-        new_shifts[(s, t)] = DenseMatrix(m, m, entries)
-        idx += m
+    for n, (key, _) in enumerate(mats):
+        entries = [reduced[k, m * (n + 1) + j] for k in range(m) for j in range(m)]
+        new_shifts[key] = DenseMatrix(m, m, entries)
     new_init = [_dot(pres.init, u) for u in chosen]
     labels = [f"m{k}" for k in range(m)]
     return Presentation(pres.p, pres.q, new_init, new_shifts, labels)
@@ -650,10 +622,13 @@ def complexity(pres: Presentation) -> int:
 
 
 def same_function(pa: Presentation, pb: Presentation) -> bool:
-    """Exact equality of represented functions (minimize the difference)."""
+    """Exact equality of represented functions: the difference is zero
+    exactly when every vector of its observation orbit is 0 at generator 0."""
     if pa.p != pb.p or pa.q != pb.q:
         return False
-    return minimize(rec_sum(pa, rec_scale(-1, pb))).dim == 0
+    diff = rec_sum(pa, rec_scale(-1, pb))
+    obs = _orbit_span(list(diff.init), [_columns(m) for _, m in diff.shift_items()])
+    return not any(vec[0] for vec in obs.vectors())
 
 
 # -- builtin presentations ---------------------------------------------------

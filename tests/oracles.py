@@ -5,9 +5,11 @@ determinants instead of elimination, Gauss-Jordan row reduction instead of
 the echelon basis behind ``rref``, reflection-built folding sequences
 instead of the index recursion, brute splitting sums instead of the
 convolution presentation, a J-fraction's convergents expanded by power-series
-division instead of the path recurrence of ``jfraction_to_series``, and
+division instead of the path recurrence of ``jfraction_to_series``,
 generator values on every word pair up to a length instead of the orbits
-that ``minimize`` and ``observation_kernel`` compute.
+that ``minimize`` and ``observation_kernel`` compute, and a quotient by the
+null space of the pairing matrix, completed to a basis of the forward orbit,
+instead of ``minimize``'s solve on one invertible block of it.
 """
 
 from fractions import Fraction
@@ -25,10 +27,11 @@ from recqi import (
     WordPair,
     as_gaussian,
     evaluate,
-    index_to_word,
-    kernel_basis,
     pow_i,
+    rref,
+    zero_presentation,
 )
+from recqi.recmat import _apply_action, _columns, _dot, _orbit_span
 
 UNIT_POOL = (
     ZERO,
@@ -142,6 +145,17 @@ def hankel_ratio_check(dets, jf):
     ]
 
 
+def index_to_word(index: int, base: int, length: int) -> tuple[int, ...]:
+    """Digits of index in the given base, least significant first."""
+    if index < 0 or index >= base**length:
+        raise ValueError(f"index {index} out of range for length {length}")
+    word = []
+    for _ in range(length):
+        word.append(index % base)
+        index //= base
+    return tuple(word)
+
+
 def word_pairs(p: int, q: int, length: int):
     """All pairs of the given length, ordered by (row index, column index)."""
     for r in range(p**length):
@@ -248,6 +262,22 @@ def rref_by_pivoting(m: DenseMatrix) -> tuple[DenseMatrix, int, tuple[int, ...]]
     return DenseMatrix(rows, cols, [x for row in a for x in row]), pr, tuple(pivots)
 
 
+def kernel_basis(m: DenseMatrix) -> list[list[GaussianRational]]:
+    """Basis of {x : m @ x = 0}, one vector per free column, deterministic order."""
+    r, rk, pivots = rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        v = [ZERO] * m.cols
+        v[free] = ONE
+        for k, p in enumerate(pivots):
+            v[p] = -r[k, free]
+        basis.append(v)
+    return basis
+
+
 def spans_equal(vectors_a, vectors_b, length) -> bool:
     sa = SpanBasis(length)
     for v in vectors_a:
@@ -319,6 +349,68 @@ def saturation_level(pres: Presentation, cap: int) -> int | None:
             return length - 1
         if length == cap + 1:
             return None
+
+
+def minimize_by_completion(pres: Presentation) -> Presentation:
+    """Smallest presentation of the same function.
+
+    Restrict to the forward orbit of the represented coordinate, then quotient
+    by the subspace the observation orbit cannot see. The first generator of
+    the result is the function itself.
+    """
+    d = pres.dim
+    if d == 0:
+        return zero_presentation(pres.p, pres.q)
+    mats = pres.shift_items()
+    forward = [_columns(mat.transpose()) for _, mat in mats]
+    e0 = [ONE] + [ZERO] * (d - 1)
+    fwd = _orbit_span(e0, forward).vectors()
+    obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats])
+    # N = vectors of the forward span annihilated by every observation row
+    ov = [_dot(o, v) for o in obs.vectors() for v in fwd]
+    null_coords = kernel_basis(DenseMatrix(obs.dim, len(fwd), ov))
+    fwd_cols = list(zip(*fwd))
+    null_vectors = [[_dot(col, coords) for col in fwd_cols] for coords in null_coords]
+    m = len(fwd) - len(null_vectors)
+    if m == 0:
+        return zero_presentation(pres.p, pres.q)
+    # complete the null space to a basis of the forward span, first candidate
+    # the represented coordinate itself so generator 0 survives as the function
+    completion = SpanBasis(d)
+    for vec in null_vectors:
+        completion.add(vec)
+    chosen = []
+    for cand in [e0] + fwd:
+        if len(chosen) == m:
+            break
+        if completion.add(cand) is not None:
+            chosen.append(cand)
+    if len(chosen) != m:
+        raise AssertionError("forward span completion failed")
+    basis = chosen + null_vectors
+    cols = len(basis)
+    # solve for all induced shift columns at once against the basis matrix
+    rhs = [_apply_action(action, u) for action in forward for u in chosen]
+    aug_rows = []
+    for r in range(d):
+        row = [basis[j][r] for j in range(cols)]
+        row.extend(w[r] for w in rhs)
+        aug_rows.append(row)
+    reduced, rk, pivots = rref(DenseMatrix.from_rows(aug_rows))
+    if pivots[:cols] != tuple(range(cols)) or rk != cols:
+        raise AssertionError("quotient basis is not independent")
+    new_shifts = {}
+    idx = 0
+    for (s, t), _ in mats:
+        entries = []
+        for k in range(m):
+            for j in range(m):
+                entries.append(reduced[k, cols + idx + j])
+        new_shifts[(s, t)] = DenseMatrix(m, m, entries)
+        idx += m
+    new_init = [_dot(pres.init, u) for u in chosen]
+    labels = [f"m{k}" for k in range(m)]
+    return Presentation(pres.p, pres.q, new_init, new_shifts, labels)
 
 
 def jfraction_by_convergents(jf, c0, order: int) -> SeriesTruncation:

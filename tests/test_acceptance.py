@@ -23,7 +23,6 @@ from recqi import (
     gamma_coeffs,
     hankel,
     hankel_det_table,
-    index_to_word,
     jfraction_from_moments,
     minimize,
     moment,
@@ -45,6 +44,7 @@ from oracles import (
     det_cofactor,
     entrywise_product,
     hankel_ratio_check,
+    index_to_word,
     moment_sequence,
     random_presentation,
     word_pairs,

@@ -499,10 +499,10 @@ def test_negative_arguments_exit_two(capsys, builds, command, message):
     assert builds == []
 
 
-def write_presentation(path, dim):
-    # one letter each side, dim generators, identity shift
-    shifts = {(0, 0): DenseMatrix.identity(dim)}
-    path.write_text(Presentation(1, 1, [ONE] * dim, shifts).to_json_text())
+def write_presentation(path, dim, p=1, q=1):
+    # p x q letter pairs, dim generators, identity shifts
+    shifts = {(s, t): DenseMatrix.identity(dim) for s in range(p) for t in range(q)}
+    path.write_text(Presentation(p, q, [ONE] * dim, shifts).to_json_text())
     return str(path)
 
 
@@ -541,6 +541,55 @@ def test_result_dim_cap_admits_the_bound(tmp_path, capsys, monkeypatch, op, a, b
     right = write_presentation(tmp_path / "b.json", b)
     code, out, err = run_cli(capsys, "recmat", op, left, right)
     assert (code, err, built) == (0, "", [(a, b)])
+
+
+@pytest.mark.parametrize("dim", [1, 0])
+def test_result_size_cap_refuses_many_letter_pairs(tmp_path, capsys, monkeypatch, dim):
+    # 1000 x 1 times 1 x 1000 letters is a 1000 x 1000-letter result: without
+    # the cap, 20 s and 1.1 GB at dim 1, 13 s and 0.5 GB at dim 0
+    built = []
+    monkeypatch.setattr(recmat, "rec_product", lambda *args: built.append(args))
+    left = write_presentation(tmp_path / "left.json", dim, 1000, 1)
+    right = write_presentation(tmp_path / "right.json", dim, 1, 1000)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "recmat", "product", left, right)
+    assert time.monotonic() - start < 1
+    assert (code, out, built) == (2, "", [])
+    assert err == (
+        f"error: product has 1000 x 1000 letter pairs of dim {dim}, 1000000 entries,"
+        f" more than the cap of {cli.MAX_RESULT_ENTRIES}\n"
+    )
+
+
+def test_result_size_cap_admits_the_bound(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def stub(left, right):
+        built.append((left.p, right.q))
+        return builtin("zero")
+
+    monkeypatch.setattr(recmat, "rec_product", stub)
+    left = write_presentation(tmp_path / "left.json", 1, 1024, 1)
+    right = write_presentation(tmp_path / "right.json", 1, 1, 256)
+    code, out, err = run_cli(capsys, "recmat", "product", left, right)
+    assert 1024 * 256 == cli.MAX_RESULT_ENTRIES
+    assert (code, err, built) == (0, "", [(1024, 256)])
+
+
+@pytest.mark.parametrize(
+    "op, right_p, message",
+    [
+        ("product", 2, "inner alphabets do not match"),
+        ("hadamard", 1, "alphabets do not match"),
+    ],
+)
+def test_result_size_cap_keeps_the_alphabet_message(
+    tmp_path, capsys, op, right_p, message
+):
+    left = write_presentation(tmp_path / "left.json", 1, 1000, 1)
+    right = write_presentation(tmp_path / "right.json", 1, right_p, 1000)
+    code, out, err = run_cli(capsys, "recmat", op, left, right)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("op, dim", [("product", 144), ("convolve", 156)])
@@ -798,13 +847,14 @@ import sys
 from recqi.cli import main
 if len(sys.argv) > 1:
     main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m.partition(".")[0] == "recqi"), file=sys.stderr)
+loaded = [m for m in sys.modules if m.partition(".")[0] in ("recqi", "json")]
+print(*sorted(loaded), file=sys.stderr)
 """
 
 
 def loaded_modules(*argv):
-    """The recqi modules a fresh process holds after importing recqi.cli and
-    running one command."""
+    """The recqi and json modules a fresh process holds after importing
+    recqi.cli and running one command."""
     result = subprocess.run(
         [sys.executable, "-c", LOADED, *argv],
         capture_output=True,
@@ -825,6 +875,8 @@ def test_importing_the_cli_loads_no_math_module():
         (("verify-det", "--max-n", "3"), "recqi.recmat"),
         (("jfraction", "--count", "3"), "recqi.recmat"),
         (("recmat", "unfold", "builtin:H", "--depth", "1"), "recqi.jacobi"),
+        (("recmat", "unfold", "builtin:H", "--depth", "1"), "json"),
+        (("verify-lu", "--depth", "1"), "json"),
     ],
 )
 def test_commands_load_only_what_they_run(argv, absent):

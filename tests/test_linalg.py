@@ -17,13 +17,13 @@ from recqi import (
     bareiss_leading_minors,
     det_bareiss,
     det_field,
-    kernel_basis,
     mat_mul,
     pow_i,
     rref,
 )
 from oracles import (
     det_cofactor,
+    kernel_basis,
     random_gaussian_integer,
     random_int_matrix,
     random_matrix,

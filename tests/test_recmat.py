@@ -21,8 +21,6 @@ from recqi import (
     complexity,
     evaluate,
     hankel,
-    index_to_word,
-    kernel_basis,
     minimize,
     moment,
     pow_i,
@@ -41,6 +39,11 @@ from recqi import (
 from oracles import (
     convolution_oracle,
     entrywise_product,
+    index_to_word,
+    kernel_basis,
+    minimize_by_completion,
+    random_gaussian,
+    random_matrix,
     random_presentation,
     restriction_kernel,
     saturation_level,
@@ -393,6 +396,23 @@ def test_same_function():
     assert not same_function(H, random_presentation(random.Random(0), 2, 3))
 
 
+def test_same_function_agrees_with_minimize():
+    rng = random.Random(69)
+    outcomes = set()
+    for k in range(60):
+        p, q = rng.randint(1, 2), rng.randint(1, 2)
+        a = random_presentation(rng, p, q)
+        c = random_presentation(rng, p, q)
+        # c itself, a rewritten (minimized, or 2a - a), or c + a, which is a
+        # when c is zero
+        two_a_minus_a = rec_sum(rec_scale(2, a), rec_scale(-1, a))
+        b = [c, minimize(a), two_a_minus_a, rec_sum(c, a)][k % 4]
+        expected = minimize(rec_sum(a, rec_scale(-1, b))).dim == 0
+        assert same_function(a, b) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def observation_kernel(pres):
     """Vectors x with (init row) . (any shift word) . x = 0, from the
     observation orbit that ``minimize`` computes."""
@@ -553,6 +573,36 @@ def test_minimize_bytes_of_the_lu_product():
     # L.U represents H, and its minimal presentation has the same bytes
     text = minimize(rec_product(L, builtin("U"))).to_json_text()
     assert hashlib.sha256(text.encode()).hexdigest() == MINIMIZE_DIGESTS["H"]
+
+
+def dense_presentation(rng, p, q, dim):
+    """Dense rational init and shifts."""
+    init = [random_gaussian(rng, 4) for _ in range(dim)]
+    letters = [(s, t) for s in range(p) for t in range(q)]
+    shifts = {pair: random_matrix(rng, dim, dim, 4) for pair in letters}
+    return Presentation(p, q, init, shifts)
+
+
+def test_minimize_matches_the_completion_oracle():
+    # the quotient by the null space, completed to a basis of the forward
+    # orbit, has the same bytes as the solve on one block of the pairings
+    builtins = [builtin(name) for name in sorted(MINIMIZE_DIGESTS)]
+    cases = list(builtins)
+    for op in BINARY_OPS.values():
+        for left in builtins:
+            for right in builtins:
+                pres = op(left, right)
+                if pres.dim <= 60:
+                    cases.append(pres)
+    rng = random.Random(68)
+    for _ in range(40):
+        cases.append(random_presentation(rng, rng.randint(1, 3), rng.randint(1, 3), 6))
+    for _ in range(15):
+        p, q, dim = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 4)
+        cases.append(dense_presentation(rng, p, q, dim))
+    for pres in cases:
+        expected = minimize_by_completion(pres).to_json_text()
+        assert minimize(pres).to_json_text() == expected
 
 
 def test_json_round_trip():
