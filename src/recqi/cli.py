@@ -40,8 +40,9 @@ MAX_UNFOLD_CELLS = 4**9
 # cell at the last; builtin:H (dim 2) still unfolds to depth 9, builtin:U
 # (dim 12) to depth 8
 MAX_UNFOLD_VALUES = 4**10
-# largest generator count a binary `recmat` op builds, p * q shifts of
-# dim x dim entries; the largest builtin pair, convolve U U, gives 156
+# largest generator count a binary `recmat` op builds or `minimize` reads,
+# p * q shifts of dim x dim entries; convolve U U, the largest builtin pair,
+# gives 156
 MAX_RESULT_DIM = 256
 # largest p * q * max(dim, 1)^2 a binary op builds: its p * q shifts, an empty
 # one counted as one entry; at p = q = 2 this is the dim cap
@@ -314,6 +315,8 @@ def cmd_recmat_unary(args) -> int:
 
     op = getattr(recmat, _UNARY_OPS[args.op])
     pres = _load_presentation(args.presentation)
+    if args.op == "minimize":
+        _check_cap("minimize input dim", pres.dim, MAX_RESULT_DIM)
     _emit(op(pres).to_json_text(), args.output)
     return 0
 

@@ -19,11 +19,11 @@ class ParseError(ValueError):
 
 
 class DegeneracyError(ArithmeticError):
-    """A computation ran into a vanishing Hankel determinant.
+    """A J-fraction extraction ran into a vanishing Hankel determinant.
 
-    ``level`` is the order of the first vanishing determinant (equivalently,
-    the index of the zero pivot in a fraction-free elimination, counting the
-    1x1 leading block as level 1).
+    Raised by :func:`recqi.jacobi.jfraction_from_moments`; ``level`` is the
+    order of the first vanishing determinant, the 1x1 leading block being
+    level 1.
     """
 
     def __init__(self, message: str, level: int):

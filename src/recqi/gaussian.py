@@ -256,7 +256,7 @@ def parse_gaussian(text: str) -> GaussianRational:
     def scan_unsigned(pos: int) -> tuple[int, int, int]:
         # (numerator, denominator, end position), unreduced
         start = pos
-        while pos < n and s[pos].isdigit():
+        while pos < n and s[pos] in "0123456789":
             pos += 1
         if pos == start:
             raise ParseError("expected digits", start)
@@ -264,7 +264,7 @@ def parse_gaussian(text: str) -> GaussianRational:
         if pos < n and s[pos] == "/":
             pos += 1
             dstart = pos
-            while pos < n and s[pos].isdigit():
+            while pos < n and s[pos] in "0123456789":
                 pos += 1
             if pos == dstart:
                 raise ParseError("expected digits after '/'", dstart)

@@ -3,17 +3,16 @@
 One field elimination, the echelon basis :class:`SpanBasis`, gives span
 membership, the reduced row echelon form and the field determinant.
 Determinants have two independent routes: field elimination through that
-basis (:func:`det_field`, any Gaussian-rational matrix, the tests'
-reference) and fraction-free Bareiss elimination (big-int kernel, no
-rational blowup). All leading principal minors of a Hankel matrix come from
-an O(n^2) fraction-free recurrence instead, whose rows are the pivot rows
-the elimination would produce; it steps over each square block of vanishing
-minors, so one pass gives every minor, zeros included, and the J-fraction
-coefficients of :mod:`recqi.jacobi`. The fraction-free routes take any Q(i)
-input: they run on L times it, L the least common multiple of its
-denominators, and divide an order-k minor by L^k, so callers never scale.
-Pivoting always takes the first nonzero candidate, so every result is
-bit-reproducible.
+basis (:func:`det_field`, the tests' reference) and fraction-free Bareiss
+elimination (:func:`det_bareiss`, big-int kernel, no rational blowup). The
+leading principal minors of a Hankel matrix come from an O(n^2)
+fraction-free recurrence whose rows are the pivot rows that elimination
+would produce; it steps over each square block of vanishing minors, so one
+pass gives every minor, zeros included, and the J-fraction coefficients of
+:mod:`recqi.jacobi`. Both fraction-free routes take any Q(i) input: they run
+on L times it, L the least common multiple of its denominators, and divide
+an order-k minor by L^k, so callers never scale. Pivoting always takes the
+first nonzero candidate, so every result is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import bisect
 import math
 from functools import reduce
 
-from .errors import DegeneracyError
 from .gaussian import (
     ZERO,
     ONE,
@@ -108,29 +106,6 @@ class DenseMatrix:
         return DenseMatrix(
             c, self._rows, [e[r * c + j] for j in range(c) for r in range(self._rows)]
         )
-
-    def scale(self, factor) -> "DenseMatrix":
-        f = as_gaussian(factor)
-        return DenseMatrix(self._rows, self._cols, [f * x for x in self._e])
-
-    def __add__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        if (self._rows, self._cols) != (other._rows, other._cols):
-            raise ValueError("shape mismatch")
-        return DenseMatrix(
-            self._rows, self._cols, [a + b for a, b in zip(self._e, other._e)]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __matmul__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return mat_mul(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
@@ -278,30 +253,6 @@ def _divide_powers(values: list, scale: int, first: int = 0) -> list:
     return [x / scale**k for k, x in enumerate(values, first)]
 
 
-def _bareiss_step(re, im, k, n, dr, di, pr, pi):
-    # one elimination step: rows/cols beyond k updated in place, exact division
-    # by the previous pivot (pr, pi) through its conjugate
-    nrm = pr * pr + pi * pi
-    rk_re = re[k]
-    rk_im = im[k]
-    for r in range(k + 1, n):
-        rr_re = re[r]
-        rr_im = im[r]
-        ar = rr_re[k]
-        ai = rr_im[k]
-        for c in range(k + 1, n):
-            br = rk_re[c]
-            bi = rk_im[c]
-            xr = rr_re[c]
-            xi = rr_im[c]
-            tr = dr * xr - di * xi - ar * br + ai * bi
-            ti = dr * xi + di * xr - ar * bi - ai * br
-            rr_re[c] = (tr * pr + ti * pi) // nrm
-            rr_im[c] = (ti * pr - tr * pi) // nrm
-        rr_re[k] = 0
-        rr_im[k] = 0
-
-
 def det_bareiss(m: DenseMatrix) -> GaussianRational:
     """Fraction-free determinant of a Q(i) matrix.
 
@@ -327,33 +278,41 @@ def det_bareiss(m: DenseMatrix) -> GaussianRational:
                     break
             else:
                 return ZERO
+        # rows and columns beyond k updated in place, divided exactly by the
+        # previous pivot (pr, pi) through its conjugate
         dr, di = re[k][k], im[k][k]
-        _bareiss_step(re, im, k, n, dr, di, pr, pi)
+        nrm = pr * pr + pi * pi
+        rk_re, rk_im = re[k], im[k]
+        for r in range(k + 1, n):
+            rr_re, rr_im = re[r], im[r]
+            ar, ai = rr_re[k], rr_im[k]
+            for c in range(k + 1, n):
+                br, bi = rk_re[c], rk_im[c]
+                xr, xi = rr_re[c], rr_im[c]
+                tr = dr * xr - di * xi - ar * br + ai * bi
+                ti = dr * xi + di * xr - ar * bi - ai * br
+                rr_re[c] = (tr * pr + ti * pi) // nrm
+                rr_im[c] = (ti * pr - tr * pi) // nrm
         pr, pi = dr, di
     det = GaussianRational(sign * re[n - 1][n - 1], sign * im[n - 1][n - 1])
     return det if scale == 1 else det / scale**n
 
 
 def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
-    """All leading principal minors of a Q(i) matrix, fraction-free.
+    """All leading principal minors of a Q(i) Hankel matrix, fraction-free.
 
-    Returns [det of 0x0, det of 1x1, ..., det of nxn]. Both routes run in
-    Z[i] on L*m, L the least common multiple of the denominators, and divide
-    the order-k minor by L^k. A Hankel input, entry (s, t) equal to c(s + t)
-    for 2n-1 values c, takes the O(n^2) recurrence of :func:`_hankel_minors`,
-    which returns each block of vanishing minors as zeros. Any other input
-    takes one O(n^3) Bareiss elimination (the pivot after step k is the
-    order-(k+1) minor), which raises :class:`DegeneracyError` naming the
-    order of the first vanishing minor. The tests check the recurrence
-    against the elimination, :func:`det_field`, a cofactor oracle and the
-    folding product.
+    Returns [det of 0x0, ..., det of nxn] for square m with entry (s, t)
+    equal to c(s + t), from the O(n^2) recurrence of :func:`_hankel_minors`
+    on the 2n-1 values c, each block of vanishing minors as zeros; raises
+    ValueError on any other matrix. The tests check it against a Bareiss
+    elimination, :func:`det_field`, a cofactor oracle and the folding product.
     """
     if not m.is_square:
-        raise ValueError("determinant of a non-square matrix")
+        raise ValueError("leading minors of a non-square matrix")
     values = _hankel_values(m)
-    if values is not None:
-        return _hankel_minors(*_int_parts(values))[0]
-    return _elimination_minors(m)
+    if values is None:
+        raise ValueError("leading minors of a matrix that is not Hankel")
+    return _hankel_minors(*_int_parts(values))[0]
 
 
 def hankel_recurrence(values) -> tuple[list, list]:
@@ -377,24 +336,6 @@ def _hankel_values(m: DenseMatrix) -> list | None:
         if e[s * n : (s + 1) * n] != values[s : s + n]:
             return None
     return list(values)
-
-
-def _elimination_minors(m: DenseMatrix) -> list[GaussianRational]:
-    re, im, scale = _as_int_pairs(m)
-    n = m.rows
-    minors = [ONE]
-    pr, pi = 1, 0
-    for k in range(n):
-        dr, di = re[k][k], im[k][k]
-        if dr == 0 and di == 0:
-            raise DegeneracyError(
-                f"leading principal minor of order {k + 1} vanishes", level=k + 1
-            )
-        minors.append(GaussianRational(dr, di))
-        if k < n - 1:
-            _bareiss_step(re, im, k, n, dr, di, pr, pi)
-        pr, pi = dr, di
-    return _divide_powers(minors, scale)
 
 
 def _mul(x: tuple, y: tuple) -> tuple:

@@ -62,7 +62,7 @@ class WordPair:
         def decode(text, bound, name):
             letters = []
             for pos, ch in enumerate(text):
-                if not ch.isdigit():
+                if ch not in "0123456789":
                     raise ParseError(f"{name} word letter must be a digit", pos)
                 d = int(ch)
                 if d >= bound:
@@ -299,6 +299,10 @@ def _apply_action(cols, vec):
 # in an orbit and grow by a fixed amount per letter in `evaluate`; the cap
 # keeps every value far below CPython's 4300-digit limit on int-to-str
 MAX_ORBIT_BITS = 2**12
+# cap on the largest part's bits times the length of a vector in a `minimize`
+# orbit, which each reduction against the span costs together: sparse random
+# files of dim 60 reach 566 bits, builtin compositions at most 224 bits x 52
+MAX_ORBIT_SIZE = 2**14
 
 
 def _check_bits(largest: int, what: str) -> None:
@@ -558,7 +562,7 @@ def _orbit_span(seed, actions) -> SpanBasis:
     """Span of seed and of its images under every word over the actions:
     the reachable span takes the columns of the transposed shifts, the
     observation span (the orbit of the init row) those of the shifts.
-    Raises ValueError past MAX_ORBIT_BITS."""
+    Raises ValueError past MAX_ORBIT_BITS or MAX_ORBIT_SIZE."""
     span = SpanBasis(len(seed))
     first = span.add(seed)
     work = [] if first is None else [first]
@@ -566,6 +570,12 @@ def _orbit_span(seed, actions) -> SpanBasis:
         vec = work.pop()
         largest = max(abs(z) for x in vec for z in x.integer_parts())
         _check_bits(largest, "an orbit vector")
+        bits = largest.bit_length()
+        if bits * len(vec) > MAX_ORBIT_SIZE:
+            raise ValueError(
+                f"an orbit vector of length {len(vec)} has an entry of {bits} bits:"
+                f" {bits} x {len(vec)} is more than the cap of {MAX_ORBIT_SIZE}"
+            )
         for cols in actions:
             added = span.add(_apply_action(cols, vec))
             if added is not None:

@@ -1,9 +1,10 @@
 """Independently coded reference computations shared by the test modules.
 
 Everything here deliberately avoids the library's own algorithms: cofactor
-determinants instead of elimination, Gauss-Jordan row reduction instead of
-the echelon basis behind ``rref``, reflection-built folding sequences
-instead of the index recursion, brute splitting sums instead of the
+determinants instead of elimination, leading minors by one Bareiss
+elimination instead of the Hankel recurrence, Gauss-Jordan row reduction
+instead of the echelon basis behind ``rref``, reflection-built folding
+sequences instead of the index recursion, brute splitting sums instead of the
 convolution presentation, a J-fraction's convergents expanded by power-series
 division instead of the path recurrence of ``jfraction_to_series``,
 generator values on every word pair up to a length instead of the orbits
@@ -31,6 +32,7 @@ from recqi import (
     rref,
     zero_presentation,
 )
+from recqi.linalg import _as_int_pairs, _divide_powers
 from recqi.recmat import _apply_action, _columns, _dot, _orbit_span
 
 UNIT_POOL = (
@@ -119,6 +121,64 @@ def entrywise_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Entry (r, c) is a[r, c] * b[r, c]."""
     assert (a.rows, a.cols) == (b.rows, b.cols)
     return DenseMatrix(a.rows, a.cols, [x * y for x, y in zip(a.entries, b.entries)])
+
+
+def entrywise_sum(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """Entry (r, c) is a[r, c] + b[r, c]."""
+    assert (a.rows, a.cols) == (b.rows, b.cols)
+    return DenseMatrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+
+
+def scalar_multiple(factor, m: DenseMatrix) -> DenseMatrix:
+    """Entry (r, c) is factor * m[r, c]."""
+    f = as_gaussian(factor)
+    return DenseMatrix(m.rows, m.cols, [f * x for x in m.entries])
+
+
+def _bareiss_step(re, im, k, n, dr, di, pr, pi):
+    # one elimination step: rows/cols beyond k updated in place, exact division
+    # by the previous pivot (pr, pi) through its conjugate
+    nrm = pr * pr + pi * pi
+    rk_re = re[k]
+    rk_im = im[k]
+    for r in range(k + 1, n):
+        rr_re = re[r]
+        rr_im = im[r]
+        ar = rr_re[k]
+        ai = rr_im[k]
+        for c in range(k + 1, n):
+            br = rk_re[c]
+            bi = rk_im[c]
+            xr = rr_re[c]
+            xi = rr_im[c]
+            tr = dr * xr - di * xi - ar * br + ai * bi
+            ti = dr * xi + di * xr - ar * bi - ai * br
+            rr_re[c] = (tr * pr + ti * pi) // nrm
+            rr_im[c] = (ti * pr - tr * pi) // nrm
+        rr_re[k] = 0
+        rr_im[k] = 0
+
+
+def leading_minors_by_elimination(m: DenseMatrix) -> list[GaussianRational]:
+    """Leading principal minors of any square Q(i) matrix by one Bareiss
+    elimination without row swaps on L*m, L the least common multiple of the
+    denominators: the pivot after step k is the order-(k+1) minor of L*m.
+    Raises DegeneracyError naming the order of the first vanishing minor."""
+    re, im, scale = _as_int_pairs(m)
+    n = m.rows
+    minors = [ONE]
+    pr, pi = 1, 0
+    for k in range(n):
+        dr, di = re[k][k], im[k][k]
+        if dr == 0 and di == 0:
+            raise DegeneracyError(
+                f"leading principal minor of order {k + 1} vanishes", level=k + 1
+            )
+        minors.append(GaussianRational(dr, di))
+        if k < n - 1:
+            _bareiss_step(re, im, k, n, dr, di, pr, pi)
+        pr, pi = dr, di
+    return _divide_powers(minors, scale)
 
 
 def moment_sequence(count: int) -> list[GaussianRational]:

@@ -24,6 +24,7 @@ from recqi import (
     hankel,
     hankel_det_table,
     jfraction_from_moments,
+    mat_mul,
     minimize,
     moment,
     pow_i,
@@ -37,14 +38,15 @@ from recqi import (
     unfold,
     v_formula,
 )
-from recqi import linalg
 from recqi.cli import main
 from oracles import (
     convolution_oracle,
     det_cofactor,
     entrywise_product,
+    entrywise_sum,
     hankel_ratio_check,
     index_to_word,
+    leading_minors_by_elimination,
     moment_sequence,
     random_presentation,
     word_pairs,
@@ -132,11 +134,11 @@ def test_criterion_4_presentation_calculus():
         prod_two = rec_product(pb, pd)
         for depth in range(5):
             ua, ub = unfold(pa, depth), unfold(pb, depth)
-            ok = ok and unfold(total, depth) == ua + ub
+            ok = ok and unfold(total, depth) == entrywise_sum(ua, ub)
             ok = ok and unfold(had, depth) == entrywise_product(ua, ub)
             ok = ok and unfold(flip, depth) == ua.transpose()
-            ok = ok and unfold(prod_one, depth) == ua @ unfold(pc, depth)
-            ok = ok and unfold(prod_two, depth) == ub @ unfold(pd, depth)
+            ok = ok and unfold(prod_one, depth) == mat_mul(ua, unfold(pc, depth))
+            ok = ok and unfold(prod_two, depth) == mat_mul(ub, unfold(pd, depth))
 
     for _ in range(10):
         pa = random_presentation(rng, 2, 2, max_dim=2)
@@ -162,7 +164,7 @@ def test_criterion_5_continued_fraction_forms():
     ok = all(jf.u_coeff(n) == u_formula(n) for n in range(100))
     ok = ok and all(jf.v_coeff(n) == v_formula(n) for n in range(1, 257))
     # the dets come from the elimination, not the recurrence that gives v
-    dets = linalg._elimination_minors(hankel(moment, 0, 66))
+    dets = leading_minors_by_elimination(hankel(moment, 0, 66))
     pairs = hankel_ratio_check(dets, jfraction_from_moments(moment_sequence(131), 65))
     ok = ok and len(pairs) >= 64
     ok = ok and all(v == ratio for v, ratio in pairs[:64])

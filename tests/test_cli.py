@@ -20,7 +20,9 @@ from recqi import (
     DenseMatrix,
     GaussianRational,
     Presentation,
+    WordPair,
     builtin,
+    evaluate,
     same_function,
 )
 from recqi import cli, recmat, thuemorse
@@ -271,6 +273,15 @@ def test_eval_rejects_bad_word(capsys):
     code, out, err = run_cli(capsys, "recmat", "eval", "builtin:H", "12", "00")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_eval_rejects_non_ascii_digits(capsys):
+    # Arabic-Indic "10" once read as the word 10
+    code, out, err = run_cli(
+        capsys, "recmat", "eval", "builtin:H", "\u0661\u0660", "01"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: row word letter must be a digit (position 0)\n"
 
 
 def test_eval_refuses_vector_parts_past_the_cap(capsys, tmp_path):
@@ -627,11 +638,58 @@ def test_minimize_refuses_orbit_entries_past_the_cap(capsys, tmp_path):
     path.write_text(Presentation(2, 2, init, shifts).to_json_text())
     code, out, err = run_cli(capsys, "recmat", "minimize", str(path))
     assert (code, out) == (2, "")
-    assert re.fullmatch(
-        r"error: an orbit vector has an entry of \d+ bits,"
-        r" more than the cap of 4096\n",
-        err,
+    assert err == (
+        "error: an orbit vector of length 24 has an entry of 1468 bits:"
+        " 1468 x 24 is more than the cap of 16384\n"
     )
+
+
+def sparse_presentation(dim):
+    # p = q = 1, a random 0/1 init and a 0/1 shift with about three ones a row
+    rng = random.Random(1)
+    init = [rng.randint(0, 1) for _ in range(dim)]
+    entries = [1 if rng.random() < 3 / dim else 0 for _ in range(dim**2)]
+    return Presentation(1, 1, init, {(0, 0): DenseMatrix(dim, dim, entries)})
+
+
+@pytest.mark.parametrize("dim, bits", [(60, 283), (80, 206), (100, 171)])
+def test_minimize_refuses_sparse_orbits_past_the_size_cap(capsys, tmp_path, dim, bits):
+    # without the cap on bits x length these files, at most 51 KB, ran 8 s,
+    # 37 s and 106 s, with entries of at most 566 bits
+    path = tmp_path / "sparse.json"
+    path.write_text(sparse_presentation(dim).to_json_text())
+    code, out, err = run_cli(capsys, "recmat", "minimize", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: an orbit vector of length {dim} has an entry of {bits} bits:"
+        f" {bits} x {dim} is more than the cap of 16384\n"
+    )
+
+
+def test_minimize_still_reduces_the_sparse_dim_40_file(capsys, tmp_path):
+    pres = sparse_presentation(40)
+    path = tmp_path / "sparse.json"
+    path.write_text(pres.to_json_text())
+    code, out, err = run_cli(capsys, "recmat", "minimize", str(path))
+    assert (code, err) == (0, "")
+    small = Presentation.from_json_text(out)
+    assert small.dim <= 40
+    for length in range(10):
+        pair = WordPair(1, 1, [0] * length, [0] * length)
+        assert evaluate(small, pair) == evaluate(pres, pair)
+
+
+def test_minimize_input_dim_cap_refuses_one_past_the_bound(
+    capsys, tmp_path, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(recmat, "minimize", lambda p: calls.append(p.dim) or p)
+    at_cap = write_presentation(tmp_path / "a.json", cli.MAX_RESULT_DIM)
+    assert run_cli(capsys, "recmat", "minimize", at_cap)[0] == 0
+    past = write_presentation(tmp_path / "b.json", cli.MAX_RESULT_DIM + 1)
+    code, out, err = run_cli(capsys, "recmat", "minimize", past)
+    assert (code, out, calls) == (2, "", [256])
+    assert err == "error: minimize input dim 257 is more than the cap of 256\n"
 
 
 def test_binary_then_unary_pipeline(tmp_path, capsys):

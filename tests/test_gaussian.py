@@ -172,6 +172,13 @@ def test_parse_examples():
         ("--1", 1),
         ("1+1", 3),
         ("1+1j", 3),
+        # digits are ASCII 0-9 only: Arabic-Indic one, three/four and two,
+        # then superscript two, which int() would read or reject unplaced
+        ("\u0661", 0),
+        ("\u0663/\u0664", 0),
+        ("1+\u0662i", 2),
+        ("\u00b2", 0),
+        ("1/\u00b2", 2),
     ],
 )
 def test_parse_errors(text, position):

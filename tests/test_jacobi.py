@@ -21,8 +21,12 @@ from recqi import (
     u_formula,
     v_formula,
 )
-from recqi import linalg
-from oracles import UNIT_POOL, hankel_ratio_check, moment_sequence
+from oracles import (
+    UNIT_POOL,
+    hankel_ratio_check,
+    leading_minors_by_elimination,
+    moment_sequence,
+)
 
 
 def test_jfraction_container():
@@ -165,7 +169,7 @@ def test_hankel_ratio_identity():
     # the dets come from the elimination, not the recurrence that gives v
     depth = 32
     jf = jfraction_from_moments(moment_sequence(2 * depth + 1), depth)
-    dets = linalg._elimination_minors(hankel(moment, 0, depth + 1))
+    dets = leading_minors_by_elimination(hankel(moment, 0, depth + 1))
     pairs = hankel_ratio_check(dets, jf)
     assert len(pairs) == depth
     for v_coeff, ratio in pairs:

@@ -46,6 +46,7 @@ from oracles import (  # noqa: E402
     convolution_oracle,
     det_cofactor,
     entrywise_product,
+    entrywise_sum,
     jfraction_by_convergents,
     mat_mul_by_sums,
     rref_by_pivoting,
@@ -408,7 +409,7 @@ def level_triples(pa, pb, result, depth=3):
 def test_rec_sum_is_the_entrywise_sum(pa, data):
     pb = data.draw(presentations(pa.p, pa.q, max_dim=3))
     for ua, ub, total in level_triples(pa, pb, rec_sum(pa, pb)):
-        assert total == ua + ub
+        assert total == entrywise_sum(ua, ub)
 
 
 @BINARY

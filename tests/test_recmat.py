@@ -21,6 +21,7 @@ from recqi import (
     complexity,
     evaluate,
     hankel,
+    mat_mul,
     minimize,
     moment,
     pow_i,
@@ -39,6 +40,7 @@ from recqi import (
 from oracles import (
     convolution_oracle,
     entrywise_product,
+    entrywise_sum,
     index_to_word,
     kernel_basis,
     minimize_by_completion,
@@ -47,6 +49,7 @@ from oracles import (
     random_presentation,
     restriction_kernel,
     saturation_level,
+    scalar_multiple,
     spans_equal,
     word_pairs,
 )
@@ -97,6 +100,24 @@ def test_word_pair_from_strings():
     with pytest.raises(ParseError) as info:
         pair_of("10", "02")
     assert info.value.position == 1
+    # Arabic-Indic digits are not letters, though str.isdigit takes them
+    with pytest.raises(ParseError, match="row word letter must be a digit") as info:
+        pair_of("\u0661\u0660", "01")
+    assert info.value.position == 0
+    with pytest.raises(ParseError, match="column word letter must be a digit") as info:
+        pair_of("10", "0\u0661")
+    assert info.value.position == 1
+
+
+def test_minimize_refuses_a_short_orbit_vector_past_the_bit_cap():
+    # at length 2, 5001 bits stay under MAX_ORBIT_SIZE; MAX_ORBIT_BITS refuses
+    init = [ONE, GaussianRational(2**5000)]
+    pres = Presentation(1, 1, init, {(0, 0): DenseMatrix.identity(2)})
+    with pytest.raises(ValueError) as info:
+        minimize(pres)
+    assert str(info.value) == (
+        "an orbit vector has an entry of 5001 bits, more than the cap of 4096"
+    )
 
 
 def test_word_pairs_ordering():
@@ -207,7 +228,7 @@ def test_product_matches_matrix_product_of_unfoldings():
         prod = rec_product(pa, pb)
         assert (prod.p, prod.q) == (p, q)
         for depth in range(4):
-            assert unfold(prod, depth) == unfold(pa, depth) @ unfold(pb, depth)
+            assert unfold(prod, depth) == mat_mul(unfold(pa, depth), unfold(pb, depth))
     with pytest.raises(ValueError):
         rec_product(random_presentation(rng, 2, 3), random_presentation(rng, 2, 3))
 
@@ -224,9 +245,9 @@ def test_sum_hadamard_scale_transpose_unfoldings():
         flipped = rec_transpose(pa)
         for depth in range(4):
             ua, ub = unfold(pa, depth), unfold(pb, depth)
-            assert unfold(total, depth) == ua + ub
+            assert unfold(total, depth) == entrywise_sum(ua, ub)
             assert unfold(had, depth) == entrywise_product(ua, ub)
-            assert unfold(scaled, depth) == ua.scale(I)
+            assert unfold(scaled, depth) == scalar_multiple(I, ua)
             assert unfold(flipped, depth) == ua.transpose()
     with pytest.raises(ValueError):
         rec_sum(random_presentation(rng, 2, 2), random_presentation(rng, 2, 3))
@@ -249,7 +270,7 @@ def test_identity_fixtures_under_product():
     # the all-ones table squares to 2^n times itself
     sq = rec_product(ONES, ONES)
     for depth in range(5):
-        assert unfold(sq, depth) == unfold(ONES, depth).scale(2**depth)
+        assert unfold(sq, depth) == scalar_multiple(2**depth, unfold(ONES, depth))
 
 
 def test_convolution_against_brute_force():
@@ -372,7 +393,7 @@ def test_factor_unfoldings_are_triangular():
         up = unfold(U, depth)
         assert lo.is_unit_lower_triangular()
         assert up.is_upper_triangular()
-        assert lo @ up == unfold(H, depth)
+        assert mat_mul(lo, up) == unfold(H, depth)
         assert unfold(D, depth).is_diagonal()
         assert up.diagonal() == unfold(D, depth).diagonal()
 
@@ -652,7 +673,8 @@ def test_diagonal_length_function():
             )
             assert evaluate(pres, wp) == expected
     for depth in range(7):
-        assert unfold(pres, depth) == DenseMatrix.identity(2**depth).scale(1 + depth)
+        identity = DenseMatrix.identity(2**depth)
+        assert unfold(pres, depth) == scalar_multiple(1 + depth, identity)
 
 
 def test_diagonal_reciprocal_has_unbounded_restriction_rank():
@@ -660,8 +682,9 @@ def test_diagonal_reciprocal_has_unbounded_restriction_rank():
     # 1/(1 + |U|) on the diagonal
     for j in range(5):
         recip = GaussianRational(Fraction(1, 1 + j))
-        inv = DenseMatrix.identity(2**j).scale(recip)
-        assert inv @ unfold(builtin("diag1plusn"), j) == DenseMatrix.identity(2**j)
+        inv = scalar_multiple(recip, DenseMatrix.identity(2**j))
+        table = unfold(builtin("diag1plusn"), j)
+        assert mat_mul(inv, table) == DenseMatrix.identity(2**j)
     # restricting that reciprocal table by a diagonal prefix of length m gives
     # the function U -> 1/(1 + m + |U|); sample the restrictions on all
     # diagonal pairs of length <= d. Any presentation of dimension D would

@@ -31,7 +31,11 @@ from recqi import (
     tau,
 )
 from recqi import linalg, thuemorse
-from oracles import folding_by_reflection, folding_products_by_reflection
+from oracles import (
+    folding_by_reflection,
+    folding_products_by_reflection,
+    leading_minors_by_elimination,
+)
 
 
 def test_tau_values():
@@ -352,7 +356,7 @@ def test_hankel_det_table_lets_other_value_errors_through(monkeypatch):
 
 def test_moment_minors_by_recurrence_and_by_elimination():
     h = hankel(moment, 0, 301)
-    minors = linalg._elimination_minors(h)
+    minors = leading_minors_by_elimination(h)
     assert minors == bareiss_leading_minors(h)
     # det of order n+1 is the product through k = n
     assert minors == [ONE] + folding_products_by_reflection(300, None)
@@ -364,7 +368,7 @@ def test_sign_prefix_minors_by_recurrence_and_by_elimination():
         sigma = SignSequence([rng.choice((1, -1)) for _ in range(8)])
         h = hankel(series_product(sigma, 256).coefficient, 0, 129)
         minors = bareiss_leading_minors(h)
-        assert minors == linalg._elimination_minors(h)
+        assert minors == leading_minors_by_elimination(h)
         assert minors == [ONE] + folding_products_by_reflection(128, sigma)
 
 
