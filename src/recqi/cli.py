@@ -52,6 +52,18 @@ MAX_RESULT_ENTRIES = 4 * MAX_RESULT_DIM**2
 MAX_JSON_BYTES = 2**22
 
 
+def _int_flag(text: str) -> int:
+    """An optional "-", then ASCII digits, as numbers in values and words;
+    type=int would also take "+", "_", spaces and other Unicode digits."""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # more digits than CPython converts to an int
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _check_cap(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise ValueError(f"{flag} {value} is more than the cap of {cap}")
@@ -332,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-det",
         help="Hankel determinants against the folding product",
     )
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_int_flag, required=True, dest="max_n")
     p.add_argument(
         "--sigma",
         default=None,
@@ -347,26 +359,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-lu",
         help="triangular decomposition of the Hankel unfoldings",
     )
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_flag, required=True)
     p.set_defaults(func=lambda a: lu_report(a.depth).emit())
 
     p = sub.add_parser(
         "jfraction",
         help="continued-fraction coefficients against their closed forms",
     )
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_flag, required=True)
     p.set_defaults(func=lambda a: jfraction_report(a.count).emit())
 
     p = sub.add_parser("beta-hankel", help="first-difference Hankel determinant table")
-    p.add_argument("--max-order", type=int, required=True, dest="max_order")
-    p.add_argument("--offset", type=int, default=1)
+    p.add_argument("--max-order", type=_int_flag, required=True, dest="max_order")
+    p.add_argument("--offset", type=_int_flag, default=1)
     p.set_defaults(
         func=lambda a: unit_det_report("beta", a.max_order, a.offset).emit()
     )
 
     p = sub.add_parser("gamma-hankel", help="two-step difference Hankel determinants")
-    p.add_argument("--max-order", type=int, required=True, dest="max_order")
-    p.add_argument("--offset", type=int, default=2)
+    p.add_argument("--max-order", type=_int_flag, required=True, dest="max_order")
+    p.add_argument("--offset", type=_int_flag, default=2)
     p.set_defaults(
         func=lambda a: unit_det_report("gamma", a.max_order, a.offset).emit()
     )
@@ -375,10 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "conjecture-check",
         help="determinant identity under random fold-direction prefixes",
     )
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--prefix-len", type=int, default=10, dest="prefix_len")
-    p.add_argument("--max-n", type=int, default=128, dest="max_n")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_flag, default=20)
+    p.add_argument("--prefix-len", type=_int_flag, default=10, dest="prefix_len")
+    p.add_argument("--max-n", type=_int_flag, default=128, dest="max_n")
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.set_defaults(
         func=lambda a: conjecture_report(a.trials, a.prefix_len, a.max_n, a.seed).emit()
     )
@@ -396,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = rmsub.add_parser("unfold", help="dense value matrix up to a depth")
     p.add_argument("presentation", help="JSON file or builtin:NAME")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_flag, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_recmat_unfold)

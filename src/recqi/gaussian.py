@@ -3,11 +3,11 @@
 Every quantity in this package is a Gaussian rational, stored as three
 arbitrary precision ints (a, b, d) representing (a + b*i)/d over one common
 denominator d > 0, reduced so that gcd(a, b, d) == 1; sums and products of
-Gaussian integers (d == 1) take no gcd. Values are immutable, so each small
-Gaussian integer (both parts within SHARED_BOUND) can be one shared object,
-as CPython shares its small ints: the constants below, the parsed values and
-the unfolded tables all hand it out. Values print in a canonical text form
-that parses back bit-exactly:
+Gaussian integers (d == 1) take no gcd. The int kernels of linalg and recmat
+cross to and from scalars through to_parts and from_parts alone. Values are
+immutable, so each small Gaussian integer (both parts within SHARED_BOUND)
+is one shared object, which the constants, the parser and from_parts hand
+out. Values print in a canonical text form that parses back bit-exactly:
 
     gaussian := real | imag | real sign imag
     real     := rat
@@ -157,8 +157,9 @@ def _new(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    # (a + b*i)/d for any d > 0
-    g = math.gcd(a, b, d)
+    # (a + b*i)/d for any d > 0; math.gcd stops once it reaches 1, so d goes
+    # first, and d == 1 costs no gcd of the parts
+    g = math.gcd(d, a, b)
     if g != 1:
         a, b, d = a // g, b // g, d // g
     return _new(a, b, d)
@@ -190,23 +191,30 @@ GAUSSIAN_UNITS = (ONE, _SHARED[-1][0], I, _SHARED[0][-1])
 _POW_I = (ONE, I, _SHARED[-1][0], _SHARED[0][-1])
 
 
-def _integers(re: list, im: list) -> list:
-    """The Gaussian integers re[j] + im[j]*i (int parts): all shared objects
-    when every part is within SHARED_BOUND, else one new object per nonzero
-    value, every zero the one ZERO. From CPython 3.11 on the range scan
-    stops at the first part out of range, so large values pay little for it."""
-    if _SHARED_PARTS.issuperset(re) and _SHARED_PARTS.issuperset(im):
+def to_parts(values) -> tuple[list[int], list[int], int]:
+    """(re, im, L) with values[j] == (re[j] + im[j]*i)/L, L the least common
+    multiple of the denominators: the Z[i] list form the kernels sum on."""
+    scale = math.lcm(*{x._d for x in values})
+    re = [x._a * (scale // x._d) for x in values]
+    im = [x._b * (scale // x._d) for x in values]
+    return re, im, scale
+
+
+def from_parts(re: list, im: list, scale: int = 1) -> list:
+    """The scalars (re[j] + im[j]*i)/scale, the inverse of to_parts; every
+    zero is the one ZERO. At scale 1 they are all shared objects when every
+    part is within SHARED_BOUND, else one new object per nonzero value; from
+    CPython 3.11 on the range scan stops at the first part out of range, so
+    large values pay little for it."""
+    if scale == 1 and _SHARED_PARTS.issuperset(re) and _SHARED_PARTS.issuperset(im):
         return list(map(getitem, map(_SHARED.__getitem__, re), im))
-    return [_new(a, b, 1) if a or b else ZERO for a, b in zip(re, im)]
+    return [_reduced(a, b, scale) if a or b else ZERO for a, b in zip(re, im)]
 
 
 def _parsed(a: int, b: int, d: int) -> GaussianRational:
     # (a + b*i)/d for any d > 0, a small Gaussian integer as its shared object
     g = math.gcd(a, b, d)
-    a, b, d = a // g, b // g, d // g
-    if d == 1 and a in _SHARED_PARTS and b in _SHARED_PARTS:
-        return _SHARED[a][b]
-    return _new(a, b, d)
+    return from_parts([a // g], [b // g], d // g)[0]
 
 
 def as_gaussian(value) -> GaussianRational:

@@ -25,10 +25,10 @@ from .gaussian import (
     ZERO,
     ONE,
     GaussianRational,
-    _integers,
-    _reduced,
     as_gaussian,
     format_gaussian,
+    from_parts,
+    to_parts,
 )
 
 
@@ -174,7 +174,7 @@ def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
                     row_im[c] += x * v + y * u
         re += row_re
         im += row_im
-    return DenseMatrix(a.rows, b.cols, _from_int_parts(re, im, a_scale * b_scale))
+    return DenseMatrix(a.rows, b.cols, from_parts(re, im, a_scale * b_scale))
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, int, tuple[int, ...]]:
@@ -221,27 +221,8 @@ def det_field(m: DenseMatrix) -> GaussianRational:
     return det
 
 
-def _int_parts(values) -> tuple[list[int], list[int], int]:
-    """Real and imaginary parts of L*x for each value x, and L, the least
-    common multiple of the denominators of all parts."""
-    parts = [x.integer_parts() for x in values]
-    scale = math.lcm(*{d for _, _, d in parts})
-    re = [a * (scale // d) for a, _, d in parts]
-    im = [b * (scale // d) for _, b, d in parts]
-    return re, im, scale
-
-
-def _from_int_parts(re: list, im: list, scale: int) -> list:
-    """The scalars (re[j] + im[j]*i)/scale, the inverse of _int_parts; every
-    zero is the one ZERO, and at scale 1 a table of small parts holds only
-    the shared Gaussian integers."""
-    if scale == 1:
-        return _integers(re, im)
-    return [_reduced(a, b, scale) if a or b else ZERO for a, b in zip(re, im)]
-
-
 def _as_int_pairs(m: DenseMatrix) -> tuple[list[list[int]], list[list[int]], int]:
-    re, im, scale = _int_parts(m.entries)
+    re, im, scale = to_parts(m.entries)
     rows = [slice(r * m.cols, (r + 1) * m.cols) for r in range(m.rows)]
     return [re[s] for s in rows], [im[s] for s in rows], scale
 
@@ -312,13 +293,13 @@ def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
     values = _hankel_values(m)
     if values is None:
         raise ValueError("leading minors of a matrix that is not Hankel")
-    return _hankel_minors(*_int_parts(values))[0]
+    return _hankel_minors(*to_parts(values))[0]
 
 
 def hankel_recurrence(values) -> tuple[list, list]:
     """Minors D(0..n) and entries T_k(k+1) of the Hankel matrix of the Q(i)
     values c(0..2n-2), from the recurrence of _hankel_minors."""
-    re, im, scale = _int_parts(values)
+    re, im, scale = to_parts(values)
     minors, upper = _hankel_minors(re, im, scale)
     return minors, _divide_powers([GaussianRational(*t) for t in upper], scale, 1)
 

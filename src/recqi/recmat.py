@@ -31,9 +31,11 @@ from .gaussian import (
     GaussianRational,
     as_gaussian,
     format_gaussian,
+    from_parts,
     parse_gaussian,
+    to_parts,
 )
-from .linalg import DenseMatrix, SpanBasis, _from_int_parts, _int_parts, rref
+from .linalg import DenseMatrix, SpanBasis, rref
 
 
 class WordPair:
@@ -278,10 +280,9 @@ def zero_presentation(p: int = 2, q: int = 2) -> Presentation:
 
 
 def _columns(m: DenseMatrix) -> list:
-    """Nonzero entries [(k, m[k, j]), ...] of each column j of square m."""
-    d = m.rows
-    e = m.entries
-    return [[(k, e[k * d + j]) for k in range(d) if e[k * d + j]] for j in range(d)]
+    """Nonzero entries [(k, m[k, j]), ...] of each column j of m."""
+    r, c, e = m.rows, m.cols, m.entries
+    return [[(k, e[k * c + j]) for k in range(r) if e[k * c + j]] for j in range(c)]
 
 
 def _apply_action(cols, vec):
@@ -323,7 +324,7 @@ def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
     if pres.dim == 0:
         return ZERO
     actions, lift = _int_actions(pres)
-    init_re, init_im, scale = _int_parts(pres.init)
+    init_re, init_im, scale = to_parts(pres.init)
     level = [([x], [y]) for x, y in zip(init_re, init_im)]
     for k, (s, t) in enumerate(pair.letters(), 1):
         level = [_combine(col, level) for col in actions[s * pres.q + t]]
@@ -334,8 +335,7 @@ def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
         level = [([x // g], [y // g]) for (x,), (y,) in level]
         scale = scale * lift // g
         _check_bits(max(scale, *map(abs, parts)) // g, f"the vector after letter {k}")
-    (a,), (b,) = level[0]
-    return _from_int_parts([a], [b], scale)[0]
+    return from_parts(*level[0], scale)[0]
 
 
 def _int_actions(pres: Presentation) -> tuple[list, int]:
@@ -343,7 +343,7 @@ def _int_actions(pres: Presentation) -> tuple[list, int]:
     (k, re, im) of each nonzero L * shift(s, t)[k, j], with L the lcm of the
     denominators of every shift entry; and L."""
     dim = pres.dim
-    w_re, w_im, lift = _int_parts([x for _, m in pres.shift_items() for x in m.entries])
+    w_re, w_im, lift = to_parts([x for _, m in pres.shift_items() for x in m.entries])
     # with no generators, one that every shift kills stands for the zero function
     actions = [[[] for _ in range(dim)] or [[]] for _ in range(pres.p * pres.q)]
     for e, (a, b) in enumerate(zip(w_re, w_im)):
@@ -365,11 +365,11 @@ def unfold_levels(pres: Presentation, depth: int):
         raise ValueError("depth must be nonnegative")
     q = pres.q
     actions, lift = _int_actions(pres)
-    re, im, scale = _int_parts(pres.init)
+    re, im, scale = to_parts(pres.init)
     level = [([x], [y]) for x, y in zip(re, im)] or [([0], [0])]
     pr, qc = 1, 1
     for n in range(depth):
-        yield DenseMatrix(pr, qc, _from_int_parts(*level[0], scale))
+        yield DenseMatrix(pr, qc, from_parts(*level[0], scale))
         if n == depth - 1:
             actions = [cols[:1] for cols in actions]
         level = [
@@ -377,7 +377,7 @@ def unfold_levels(pres: Presentation, depth: int):
             for j in range(len(actions[0]))
         ]
         pr, qc, scale = pr * pres.p, qc * q, scale * lift
-    yield DenseMatrix(pr, qc, _from_int_parts(*level[0], scale))
+    yield DenseMatrix(pr, qc, from_parts(*level[0], scale))
 
 
 def _combine(col, level) -> tuple[list, list]:
@@ -553,11 +553,6 @@ def rec_convolution(pa: Presentation, pb: Presentation) -> Presentation:
 # -- minimization ----------------------------------------------------------
 
 
-def _dot(xs, ys) -> GaussianRational:
-    terms = [x * y for x, y in zip(xs, ys) if y]
-    return sum(terms[1:], terms[0]) if terms else ZERO
-
-
 def _orbit_span(seed, actions) -> SpanBasis:
     """Span of seed and of its images under every word over the actions:
     the reachable span takes the columns of the transposed shifts, the
@@ -599,10 +594,12 @@ def minimize(pres: Presentation) -> Presentation:
     e0 = [ONE] + [ZERO] * (pres.dim - 1)
     fwd = _orbit_span(e0, forward).vectors()
     obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats]).vectors()
+    # v times the transpose of a matrix of rows pairs v with each of its rows
+    pair_obs = _columns(DenseMatrix.from_rows(obs).transpose())
     kept = SpanBasis(len(obs))
     chosen, columns = [], []
     for cand in [e0] + fwd:
-        column = [_dot(o, cand) for o in obs]
+        column = _apply_action(pair_obs, cand)
         if kept.add(column) is not None:
             chosen.append(cand)
             columns.append(column)
@@ -610,10 +607,11 @@ def minimize(pres: Presentation) -> Presentation:
     # shift(s, t) u_j minus its coordinates x in the chosen vectors pairs to 0
     # with every observation, so block x = its pairings: [block | pairings] ~ [I | x]
     images = [_apply_action(action, u) for action in forward for u in chosen]
+    pair_images = _columns(DenseMatrix.from_rows(images).transpose())
     block, rows = SpanBasis(m), []
     for o, row in zip(obs, zip(*columns)):
         if len(rows) < m and block.add(row) is not None:
-            rows.append([*row, *(_dot(o, w) for w in images)])
+            rows.append([*row, *_apply_action(pair_images, o)])
     reduced, _, pivots = rref(DenseMatrix.from_rows(rows))
     if pivots != tuple(range(m)):
         raise AssertionError("pairing block is not invertible")
@@ -621,7 +619,8 @@ def minimize(pres: Presentation) -> Presentation:
     for n, (key, _) in enumerate(mats):
         entries = [reduced[k, m * (n + 1) + j] for k in range(m) for j in range(m)]
         new_shifts[key] = DenseMatrix(m, m, entries)
-    new_init = [_dot(pres.init, u) for u in chosen]
+    pair_init = _columns(DenseMatrix(pres.dim, 1, pres.init))
+    new_init = [_apply_action(pair_init, u)[0] for u in chosen]
     labels = [f"m{k}" for k in range(m)]
     return Presentation(pres.p, pres.q, new_init, new_shifts, labels)
 

@@ -33,7 +33,7 @@ from recqi import (
     zero_presentation,
 )
 from recqi.linalg import _as_int_pairs, _divide_powers
-from recqi.recmat import _apply_action, _columns, _dot, _orbit_span
+from recqi.recmat import _apply_action, _columns, _orbit_span
 
 UNIT_POOL = (
     ZERO,
@@ -409,6 +409,13 @@ def saturation_level(pres: Presentation, cap: int) -> int | None:
             return length - 1
         if length == cap + 1:
             return None
+
+
+def _dot(xs, ys) -> GaussianRational:
+    """sum_k xs[k] * ys[k], scanning every entry: the oracle pairs vectors
+    without the library's sparse shift action."""
+    terms = [x * y for x, y in zip(xs, ys) if y]
+    return sum(terms[1:], terms[0]) if terms else ZERO
 
 
 def minimize_by_completion(pres: Presentation) -> Presentation:

@@ -510,6 +510,40 @@ def test_negative_arguments_exit_two(capsys, builds, command, message):
     assert builds == []
 
 
+INTEGER_FLAGS = [
+    "verify-det --max-n",
+    "verify-lu --depth",
+    "jfraction --count",
+    "beta-hankel --max-order",
+    "beta-hankel --max-order 1 --offset",
+    "gamma-hankel --max-order",
+    "gamma-hankel --max-order 1 --offset",
+    "conjecture-check --trials",
+    "conjecture-check --prefix-len",
+    "conjecture-check --max-n",
+    "conjecture-check --seed",
+    "recmat unfold builtin:H --depth",
+]
+
+
+@pytest.mark.parametrize("text", ["٣", "1_0", " 3", "+3", "３"])
+def test_integer_flags_take_ascii_digits_only(capsys, builds, text):
+    # int() reads all five as 3 or 10; the flags take the grammar of values
+    for command in INTEGER_FLAGS:
+        with pytest.raises(SystemExit) as info:
+            main([*command.split(), text])
+        assert info.value.code == 2
+        flag = command.split()[-1]
+        assert f"argument {flag}: invalid int value: {text!r}\n" in capsys.readouterr().err
+    assert builds == []
+
+
+def test_a_negative_seed_still_runs(capsys):
+    code, out, err = run_cli(capsys, "conjecture-check", "--trials", "1", "--seed=-5")
+    assert (code, err) == (0, "1/1 rows match\n")
+    assert out.startswith("trial,sigma,checked_n,match\n0,")
+
+
 def write_presentation(path, dim, p=1, q=1):
     # p x q letter pairs, dim generators, identity shifts
     shifts = {(s, t): DenseMatrix.identity(dim) for s in range(p) for t in range(q)}

@@ -232,3 +232,16 @@ def test_only_the_scalar_module_writes_scalar_fields():
             if name in fields:
                 writers.setdefault(path.name, set()).add(name)
     assert writers == {"gaussian.py": fields}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # each kernel has one home; other modules reach it through public names
+    private = {}
+    for path in Path(gaussian.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "recqi"
+            ):
+                names = [alias.name for alias in node.names if alias.name[0] == "_"]
+                private.setdefault(path.name, []).extend(names)
+    assert {name: names for name, names in private.items() if names} == {}

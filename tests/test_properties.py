@@ -1,8 +1,8 @@
 """Derandomized property tests: the Q(i) scalar against Fraction pairs, the
 scalars built from int parts and from text against Fraction pairs, rref
 against Gauss-Jordan, the two determinant eliminations against cofactor
-expansion, mat_mul against full sums, the text round trips, the
-J-fraction re-expansion against its convergents, the unfolding levels
+expansion, mat_mul against full sums, the text and part-list round trips,
+the J-fraction re-expansion against its convergents, the unfolding levels
 against evaluation, the presentation products against the unfoldings, and
 minimize keeping the represented function."""
 
@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from recqi import gaussian, linalg  # noqa: E402
+from recqi import gaussian  # noqa: E402
 from recqi import (  # noqa: E402
     ZERO,
     ONE,
@@ -258,7 +258,7 @@ def test_scalars_from_int_parts_match_fraction_pairs(pairs, outlier, scale):
         # one part past the bound: the whole table takes the per-cell route
         k, part = outlier
         (re, im)[k % 2][k // 2 % len(pairs)] = part
-    got = linalg._from_int_parts(re, im, scale)
+    got = gaussian.from_parts(re, im, scale)
     shared = scale == 1 and all(pair in SHARED for pair in zip(re, im))
     assert len(got) == len(pairs)
     for x, a, b in zip(got, re, im):
@@ -268,6 +268,22 @@ def test_scalars_from_int_parts_match_fraction_pairs(pairs, outlier, scale):
             assert x is SHARED[a, b]
         elif not (a or b):
             assert x is ZERO
+
+
+@PROPERTY
+@given(st.lists(SCALARS, max_size=20))
+def test_to_parts_and_from_parts_round_trip(values):
+    re, im, scale = gaussian.to_parts(values)
+    denominators = [f.denominator for x in values for f in (x.re, x.im)]
+    assert scale == math.lcm(*denominators)
+    for x, a, b in zip(values, re, im, strict=True):
+        assert FractionPair(x) == FractionPair(Fraction(a, scale), Fraction(b, scale))
+    back = gaussian.from_parts(re, im, scale)
+    assert back == values
+    for x, y in zip(values, back):
+        assert_canonical(y)
+        if not x:
+            assert y is ZERO
 
 
 @PROPERTY

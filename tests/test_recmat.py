@@ -320,10 +320,12 @@ def test_sums_start_at_their_first_product(monkeypatch):
     prod = rec_product(ONES, ONES)
     assert len(adds) == 4
     assert all(m.entries == (GaussianRational(2),) for _, m in prod.shift_items())
-    # minimize's dot products: two terms are one addition, none are ZERO
+    # minimize's pairings, through a rectangular table: two terms are one
+    # addition, none are ZERO
     adds.clear()
-    assert recmat._dot([ONE, I, GaussianRational(7)], [I, GaussianRational(3), ZERO]) == 4 * I
-    assert recmat._dot([ONE], [ZERO]) is ZERO
+    m = DenseMatrix.from_rows([[1, 0], [I, 0], [7, 5]])
+    out = recmat._apply_action(recmat._columns(m), [I, GaussianRational(3), ZERO])
+    assert out == [4 * I, ZERO] and out[1] is ZERO
     assert len(adds) == 1
 
 
@@ -624,6 +626,28 @@ def test_minimize_matches_the_completion_oracle():
     for pres in cases:
         expected = minimize_by_completion(pres).to_json_text()
         assert minimize(pres).to_json_text() == expected
+
+
+def test_minimize_pairs_a_permutation_through_the_sparse_action(monkeypatch):
+    # p = q = 1, a cyclic permutation of dim 64 and init e0: every orbit vector
+    # has one nonzero entry, so pairings that scan each entry of each pair of
+    # vectors ask 578,049 scalars for their truth value
+    dim = 64
+    shift = [int(r == (c + 1) % dim) for r in range(dim) for c in range(dim)]
+    pres = Presentation(1, 1, [1] + [0] * (dim - 1), {(0, 0): DenseMatrix(dim, dim, shift)})
+    expected = minimize_by_completion(pres).to_json_text()
+    calls = []
+    truth = GaussianRational.__bool__
+
+    def counting(x):
+        calls.append(None)
+        return truth(x)
+
+    monkeypatch.setattr(GaussianRational, "__bool__", counting)
+    got = minimize(pres).to_json_text()
+    monkeypatch.undo()
+    assert got == expected
+    assert len(calls) <= 100_000
 
 
 def test_json_round_trip():
