@@ -213,8 +213,12 @@ def from_parts(re: list, im: list, scale: int = 1) -> list:
 
 def _parsed(a: int, b: int, d: int) -> GaussianRational:
     # (a + b*i)/d for any d > 0, a small Gaussian integer as its shared object
-    g = math.gcd(a, b, d)
-    return from_parts([a // g], [b // g], d // g)[0]
+    g = math.gcd(d, a, b)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    if d == 1 and a in _SHARED_PARTS and b in _SHARED_PARTS:
+        return _SHARED[a][b]
+    return _new(a, b, d)
 
 
 def as_gaussian(value) -> GaussianRational:
@@ -250,6 +254,38 @@ def format_gaussian(value: GaussianRational) -> str:
     return _format_ratio(a, d) + sign + _format_ratio(abs(b), d) + "i"
 
 
+def _scan_unsigned(s: str, pos: int) -> tuple[int, int, int]:
+    # (numerator, denominator, end position) of digits ["/" digits] at pos,
+    # unreduced
+    n = len(s)
+    start = pos
+    while pos < n and s[pos] in "0123456789":
+        pos += 1
+    if pos == start:
+        raise ParseError("expected digits", start)
+    num = int(s[start:pos])
+    if pos < n and s[pos] == "/":
+        pos += 1
+        dstart = pos
+        while pos < n and s[pos] in "0123456789":
+            pos += 1
+        if pos == dstart:
+            raise ParseError("expected digits after '/'", dstart)
+        den = int(s[dstart:pos])
+        if den == 0:
+            raise ParseError("zero denominator", dstart)
+        return num, den, pos
+    return num, 1, pos
+
+
+def _scan_rat(s: str, pos: int) -> tuple[int, int, int]:
+    # a rat of the grammar at pos, as _scan_unsigned returns it
+    if s[pos] == "-":
+        num, den, pos = _scan_unsigned(s, pos + 1)
+        return -num, den, pos
+    return _scan_unsigned(s, pos)
+
+
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse the canonical grammar, strictly.
 
@@ -260,40 +296,12 @@ def parse_gaussian(text: str) -> GaussianRational:
     n = len(s)
     if n == 0:
         raise ParseError("empty input", 0)
-
-    def scan_unsigned(pos: int) -> tuple[int, int, int]:
-        # (numerator, denominator, end position), unreduced
-        start = pos
-        while pos < n and s[pos] in "0123456789":
-            pos += 1
-        if pos == start:
-            raise ParseError("expected digits", start)
-        num = int(s[start:pos])
-        if pos < n and s[pos] == "/":
-            pos += 1
-            dstart = pos
-            while pos < n and s[pos] in "0123456789":
-                pos += 1
-            if pos == dstart:
-                raise ParseError("expected digits after '/'", dstart)
-            den = int(s[dstart:pos])
-            if den == 0:
-                raise ParseError("zero denominator", dstart)
-            return num, den, pos
-        return num, 1, pos
-
-    def scan_rat(pos: int) -> tuple[int, int, int]:
-        if s[pos] == "-":
-            num, den, pos = scan_unsigned(pos + 1)
-            return -num, den, pos
-        return scan_unsigned(pos)
-
     if s == "+i":
         return I
     if s == "-i":
         return _SHARED[0][-1]
 
-    num, den, pos = scan_rat(0)
+    num, den, pos = _scan_rat(s, 0)
     if pos == n:
         return _parsed(num, 0, den)
     ch = s[pos]
@@ -308,7 +316,7 @@ def parse_gaussian(text: str) -> GaussianRational:
             if pos + 1 != n:
                 raise ParseError("trailing characters after 'i'", pos + 1)
             return _parsed(num, sign * den, den)
-        im_num, im_den, pos = scan_unsigned(pos)
+        im_num, im_den, pos = _scan_unsigned(s, pos)
         if pos >= n or s[pos] != "i":
             raise ParseError("expected 'i'", pos)
         if pos + 1 != n:

@@ -327,10 +327,11 @@ def _mul(x: tuple, y: tuple) -> tuple:
 def _div(x: tuple, y: tuple) -> tuple:
     """Exact quotient x / y of two Gaussian integers held as int pairs."""
     nrm = y[0] * y[0] + y[1] * y[1]
-    return tuple(v // nrm for v in _mul(x, (y[0], -y[1])))
+    re, im = _mul(x, (y[0], -y[1]))
+    return re // nrm, im // nrm
 
 
-def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
+def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
     """Leading minors and entries T_k(k+1) for c(0..2n-2), given as the int
     pairs of L*c with L = scale.
 
@@ -347,29 +348,63 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
         D(k)^h T_p(k-1) T_{k+h}(l) = s (sum_j q_j T_k(l+j) - tau^(h+1) T_p(l))
 
     with q_h..q_0 from sum_j q_j T_k(l+j) = tau^(h+1) T_p(l), l = k-1..m, by
-    back substitution; at h = 1, the Chebyshev (qd) recurrence, the sum reads
-    T_k itself. Every T is a minor of a Gaussian-integer matrix, so each
-    division is exact in Z[i]: a product with the divisor's conjugate, folded
-    into three row coefficients, then two floor divisions by its norm.
-    Returns D(0..n) of c, D(k) of L*c divided by L^k, and the int pairs of
-    T_k(k+1) of L*c for k <= n-2 while D(1..k) != 0.
+    back substitution; at h = 1, the Chebyshev (qd) recurrence. Every T is a
+    minor of a Gaussian-integer matrix, so the division is exact in Z[i]: a
+    product with the divisor's conjugate, folded into the row coefficients
+    a_j = s q_j g and c = s tau^(h+1) g (g the conjugate of D(k)^h T_p(k-1),
+    each less a factor common to all of them and the norm |g|^2), then a
+    division by that norm.
+
+    Each row T_k is 2^sigma times two ints that hold its real and imaginary
+    parts by Kronecker substitution: slot j, w bits wide, holds the entry
+    at index k + j plus a bias of 2^(w-1), so no slot borrows from the next,
+    and only the valid entries k..2n-2-k are stored. The scalar steps read
+    the low slots. A step is whole-row int arithmetic: cut the h+1 shifted
+    rows of T_k and the row of T_p that the numerator reads (a shift and a
+    mask, then the bias off), sum a_j T_k(l+j) - c T_p(l) on them, and
+    divide the whole int by the odd part of the norm. The numerator's slots
+    may overflow into each other, but the int is still sum_l N_l 2^(w l),
+    and as the odd part divides every N_l, the quotient is
+    sum_l (N_l / odd) 2^(w l) exactly. Its slots can be read back once each
+    provably lies below 2^(w-1): that follows from a bound 2^e on the
+    stored slots and the 1-norm of the coefficients; where it fails, e is
+    measured again by biased mask tests, and if it still fails the rows are
+    repacked at a larger w. The norm's power of two and the power of two
+    common to every slot (the low bits of the biased slots show it) go into
+    sigma, so the rows of the paper's tables, whose entries carry ever more
+    factors of 2, stay a few bits a slot. Returns D(0..n) of c, D(k) of L*c
+    divided by L^k, and the int pairs of T_k(k+1) of L*c for k <= n-2 while
+    D(1..k) != 0.
     """
-    size = len(cur_re)
+    size = len(re)
     n = (size + 1) // 2
-    prev_re = prev_im = [0] * size
+    # every stored slot, less its bias, lies in [-2^e, 2^e)
+    e_cur = max(map(int.bit_length, re + im), default=0)
+    w = _slot_width(e_cur + 1)
+    bias = _ones(w, size) << (w - 1)
+    cur_re, cur_im = _pack(re, w), _pack(im, w)
+    prev_re = prev_im = bias  # T_-1 = 0, held as the row at 0
+    p = sig_prev = e_prev = sig_cur = 0
     d = e = (1, 0)  # D(k) and T_p(k-1)
     minors = [ONE]
     upper = []
     k = 0
     while k < n:
+        zero = bias >> w * 2 * k  # the row of T_k holds size - 2k slots
+        # a slot xor its bias is 0 exactly for a zero entry, so the lowest
+        # set bit lies in the slot of the first nonzero one
+        lowest = (cur_re ^ zero) | (cur_im ^ zero)
+        m = min(k + _trailing_zeros(lowest) // w, n) if lowest else n
+        # T_k(k..m+h), where T_k(k+1) and tau = T_k(m) are
+        count = min(2 if m == n else 2 * (m - k + 1), size - 2 * k)
+        cur = _entries(cur_re, cur_im, w, 0, count, sig_cur)
         if len(upper) == k < n - 1:
-            upper.append((cur_re[k + 1], cur_im[k + 1]))
-        m = next((l for l in range(k, n) if cur_re[l] or cur_im[l]), n)
+            upper.append(cur[1])
         minors += [ZERO] * (m - k)
         if m == n:
             break
         h = m - k + 1
-        tau = cur_re[m], cur_im[m]
+        tau = cur[h - 1]
         s = -1 if h % 4 > 1 else 1
         th = reduce(_mul, [tau] * h)
         d_next = _div((s * th[0], s * th[1]), reduce(_mul, [d] * (h - 1), (1, 0)))
@@ -377,52 +412,155 @@ def _hankel_minors(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
         if k + h == n:
             break
         th1 = _mul(th, tau)
+        prev = _entries(prev_re, prev_im, w, k - p, k - p + h, sig_prev)
         q = [None] * h + [_mul(th, e)]
         for i in range(1, h + 1):
-            acc = _mul(th1, (prev_re[k - 1 + i], prev_im[k - 1 + i]))
+            acc = _mul(th1, prev[i - 1])
             for t in range(1, i + 1):
-                y = _mul(q[h - i + t], (cur_re[m + t], cur_im[m + t]))
+                y = _mul(q[h - i + t], cur[h - 1 + t])
                 acc = acc[0] - y[0], acc[1] - y[1]
             q[h - i] = _div(acc, tau)
-        if h == 1:
-            (a_r, a_i), x_re, x_im = q[1], cur_re, cur_im
-        else:
-            # the shifts j >= 1 folded into one row, read at l + 1 like T_k
-            (a_r, a_i), x_re, x_im = (1, 0), [0] * size, [0] * size
-            for l in range(k + h, size - k - h):
-                for j in range(1, h + 1):
-                    y = _mul(q[j], (cur_re[l + j], cur_im[l + j]))
-                    x_re[l + 1] += y[0]
-                    x_im[l + 1] += y[1]
-        b_r, b_i = q[0]
         # s times the divisor's conjugate, folded into the row coefficients
         gr, gi = reduce(_mul, [d] * h, e)
         nrm = gr * gr + gi * gi
         gr, gi = s * gr, -s * gi
-        a_r, a_i = a_r * gr - a_i * gi, a_r * gi + a_i * gr
-        b_r, b_i = b_r * gr - b_i * gi, b_r * gi + b_i * gr
-        c_r, c_i = _mul(th1, (gr, gi))
+        coeffs = [v for x, y in (*q, th1) for v in (x * gr - y * gi, x * gi + y * gr)]
         # a factor common to the coefficients and the norm leaves every
-        # quotient as it is and exact, so divide it out
-        g = math.gcd(a_r, a_i, b_r, b_i, c_r, c_i, nrm)
-        a_r, a_i, b_r, b_i, c_r, c_i, nrm = (
-            v // g for v in (a_r, a_i, b_r, b_i, c_r, c_i, nrm)
-        )
-        nxt_re, nxt_im = [0] * size, [0] * size
-        for l in range(k + h, size - k - h):
-            xr, xi = x_re[l + 1], x_im[l + 1]
-            yr, yi = cur_re[l], cur_im[l]
-            zr, zi = prev_re[l], prev_im[l]
-            nxt_re[l] = (
-                a_r * xr - a_i * xi + b_r * yr - b_i * yi - c_r * zr + c_i * zi
-            ) // nrm
-            nxt_im[l] = (
-                a_r * xi + a_i * xr + b_r * yi + b_i * yr - c_r * zi - c_i * zr
-            ) // nrm
-        prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, nxt_re, nxt_im
+        # quotient as it is and exact, so divide it out; on the stored rows,
+        # T_k / 2^sig and T_p / 2^sig, the coefficients take the rest of
+        # their sigmas
+        g = math.gcd(nrm, *coeffs)
+        nrm //= g
+        sig = min(sig_cur, sig_prev)
+        a = [v // g << sig_cur - sig for v in coeffs[:-2]]
+        c = [v // g << sig_prev - sig for v in coeffs[-2:]]
+        nu = _trailing_zeros(nrm)
+        odd = nrm >> nu
+        measured = False
+        while True:
+            # no quotient slot exceeds bound in absolute value
+            bound = (
+                (sum(map(abs, a)) << e_cur) + (abs(c[0]) + abs(c[1]) << e_prev)
+            ) // odd
+            if bound >> (w - 1) == 0:
+                break
+            if not measured:
+                e_cur = _slot_bits(cur_re, cur_im, w, bias >> w * 2 * k, e_cur)
+                e_prev = _slot_bits(prev_re, prev_im, w, bias >> w * 2 * p, e_prev)
+                measured = True
+                continue
+            w2 = _slot_width(bound.bit_length() + 1)
+            cur_re, cur_im = (
+                _respace(r, w, w2, size - 2 * k) for r in (cur_re, cur_im)
+            )
+            prev_re, prev_im = (
+                _respace(r, w, w2, size - 2 * p) for r in (prev_re, prev_im)
+            )
+            w, bias = w2, _ones(w2, size) << (w2 - 1)
+        length = size - 2 * (k + h)
+        zero = bias >> w * 2 * (k + h)
+        mask = (1 << w * length) - 1
+        num_re = num_im = 0
+        for j in range(h + 1):
+            ar, ai = a[2 * j : 2 * j + 2]
+            if ar or ai:
+                xr = (cur_re >> w * (h + j) & mask) - zero
+                xi = (cur_im >> w * (h + j) & mask) - zero
+                num_re += ar * xr - ai * xi
+                num_im += ar * xi + ai * xr
+        if c[0] or c[1]:
+            yr = (prev_re >> w * (k + h - p) & mask) - zero
+            yi = (prev_im >> w * (k + h - p) & mask) - zero
+            num_re -= c[0] * yr - c[1] * yi
+            num_im -= c[0] * yi + c[1] * yr
+        if odd != 1:
+            num_re //= odd
+            num_im //= odd
+        # the power of two common to every slot: 2^t divides an entry,
+        # t < w, exactly when the low t bits of its biased slot are clear
+        new_re, new_im = num_re + zero, num_im + zero
+        low = new_re | new_im
+        unit = zero >> (w - 1)
+        t = 0
+        while t < w - 1 and not low & ((unit << t + 1) - unit):
+            t += 1
+        if t:
+            new_re, new_im = (num_re >> t) + zero, (num_im >> t) + zero
+        prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, new_re, new_im
+        # a zero row has every power of two, so any sigma serves it
+        sig_prev, sig_cur = sig_cur, max(sig - nu + t, 0)
+        e_prev, e_cur = e_cur, (bound >> t).bit_length()
+        p = k
         d, e = d_next, tau
         k += h
     return _divide_powers(minors, scale), upper
+
+
+def _slot_width(bits: int) -> int:
+    """A slot width in whole bytes for entries of the given bit length and
+    their sign, with about a quarter to spare, so that rows are seldom
+    repacked."""
+    return (bits + bits // 4 + 15) & ~7
+
+
+def _ones(w: int, count: int) -> int:
+    """count slots of w bits, each holding 1."""
+    return int.from_bytes((b"\1" + bytes(w // 8 - 1)) * count, "little")
+
+
+def _pack(values: list, w: int) -> int:
+    """values in biased slots of w bits, each |value| < 2^(w-1)."""
+    half, size = 1 << (w - 1), w // 8
+    return int.from_bytes(
+        b"".join((v + half).to_bytes(size, "little") for v in values), "little"
+    )
+
+
+def _respace(r: int, w: int, w2: int, count: int) -> int:
+    """The biased row r of count slots at slot width w2 >= w: the bytes of
+    each slot move to its new place, then the bias grows to 2^(w2-1)."""
+    size, size2 = w // 8, w2 // 8
+    src = r.to_bytes(count * size, "little")
+    dst = bytearray(count * size2)
+    for j in range(size):
+        dst[j::size2] = src[j::size]
+    return int.from_bytes(dst, "little") + (_ones(w2, count) << (w2 - 1)) - (
+        _ones(w2, count) << (w - 1)
+    )
+
+
+def _entries(r: int, i: int, w: int, lo: int, hi: int, sig: int) -> list:
+    """The pairs (re, im) at slots lo..hi-1 of the biased rows r and i,
+    times 2^sig."""
+    low = (1 << w * hi) - 1
+    r, i = r & low, i & low
+    half, slot = 1 << (w - 1), (1 << w) - 1
+    return [
+        ((r >> w * j & slot) - half << sig, (i >> w * j & slot) - half << sig)
+        for j in range(lo, hi)
+    ]
+
+
+def _slot_bits(r: int, i: int, w: int, bias: int, hi: int) -> int:
+    """The least e <= hi with every slot of the biased rows r and i in
+    [-2^e, 2^e), given that hi holds and that bias is the rows' own, by
+    bisection: at e <= w - 2 a slot is in range exactly when, with 2^e in
+    place of its bias, its bits e+1..w-1 are clear."""
+    ones = bias >> (w - 1)
+    lo = 0
+    while lo < hi:
+        e = (lo + hi) // 2
+        shifted = bias - (ones << e)
+        high = (ones << w) - (ones << e + 1)
+        if ((r - shifted) | (i - shifted)) & high:
+            lo = e + 1
+        else:
+            hi = e
+    return lo
+
+
+def _trailing_zeros(x: int) -> int:
+    return (x & -x).bit_length() - 1
 
 
 class SpanBasis:
@@ -448,7 +586,9 @@ class SpanBasis:
         return tuple(pivot for pivot, _ in self._rows)
 
     def reduce(self, vec) -> list:
-        v = [as_gaussian(x) for x in vec]
+        v = list(vec)
+        if {*map(type, v)} - {GaussianRational}:  # coerce all but scalars
+            v = [as_gaussian(x) for x in v]
         if len(v) != self.length:
             raise ValueError("vector length mismatch")
         for pivot, row in self._rows:

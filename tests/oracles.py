@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own algorithms: cofactor
 determinants instead of elimination, leading minors by one Bareiss
-elimination instead of the Hankel recurrence, Gauss-Jordan row reduction
+elimination instead of the Hankel recurrence, the recurrence itself one
+entry at a time (``hankel_minors_by_entries``) instead of on whole rows
+packed into ints, Gauss-Jordan row reduction
 instead of the echelon basis behind ``rref``, reflection-built folding
 sequences instead of the index recursion, brute splitting sums instead of the
 convolution presentation, a J-fraction's convergents expanded by power-series
@@ -13,7 +15,9 @@ null space of the pairing matrix, completed to a basis of the forward orbit,
 instead of ``minimize``'s solve on one invertible block of it.
 """
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 from recqi import (
     ZERO,
@@ -32,7 +36,7 @@ from recqi import (
     rref,
     zero_presentation,
 )
-from recqi.linalg import _as_int_pairs, _divide_powers
+from recqi.linalg import _as_int_pairs, _div, _divide_powers, _mul
 from recqi.recmat import _apply_action, _columns, _orbit_span
 
 UNIT_POOL = (
@@ -179,6 +183,101 @@ def leading_minors_by_elimination(m: DenseMatrix) -> list[GaussianRational]:
             _bareiss_step(re, im, k, n, dr, di, pr, pi)
         pr, pi = dr, di
     return _divide_powers(minors, scale)
+
+
+def hankel_minors_by_entries(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:
+    """Leading minors and entries T_k(k+1) for c(0..2n-2), given as the int
+    pairs of L*c with L = scale.
+
+    T_k(l) is the determinant of rows 0..k and columns 0..k-1 and l of the
+    infinite Hankel matrix: the pivot-row entry in column l after k Bareiss
+    steps, so D(k+1) = T_k(k) is the order-(k+1) minor. Hankel minors vanish
+    in square blocks (Brown-Traub's subresultant theorem), so each step goes
+    from a row k with D(k) != 0 to the next such row. Let p be the row
+    computed before k (T_-1 = 0, and T_p(k-1) = 1 at k = 0), m >= k the first
+    column below n with tau = T_k(m) != 0 (if none, every later minor is 0),
+    h = m - k + 1 and s = (-1)^(h(h-1)/2). Then D(k+1..m) = 0,
+    D(k+h) = s tau^h / D(k)^(h-1) and, for k+h <= l <= 2n-2-k-h,
+
+        D(k)^h T_p(k-1) T_{k+h}(l) = s (sum_j q_j T_k(l+j) - tau^(h+1) T_p(l))
+
+    with q_h..q_0 from sum_j q_j T_k(l+j) = tau^(h+1) T_p(l), l = k-1..m, by
+    back substitution; at h = 1, the Chebyshev (qd) recurrence, the sum reads
+    T_k itself. Every T is a minor of a Gaussian-integer matrix, so each
+    division is exact in Z[i]: a product with the divisor's conjugate, folded
+    into three row coefficients, then two floor divisions by its norm.
+    Returns D(0..n) of c, D(k) of L*c divided by L^k, and the int pairs of
+    T_k(k+1) of L*c for k <= n-2 while D(1..k) != 0.
+    """
+    size = len(cur_re)
+    n = (size + 1) // 2
+    prev_re = prev_im = [0] * size
+    d = e = (1, 0)  # D(k) and T_p(k-1)
+    minors = [ONE]
+    upper = []
+    k = 0
+    while k < n:
+        if len(upper) == k < n - 1:
+            upper.append((cur_re[k + 1], cur_im[k + 1]))
+        m = next((l for l in range(k, n) if cur_re[l] or cur_im[l]), n)
+        minors += [ZERO] * (m - k)
+        if m == n:
+            break
+        h = m - k + 1
+        tau = cur_re[m], cur_im[m]
+        s = -1 if h % 4 > 1 else 1
+        th = reduce(_mul, [tau] * h)
+        d_next = _div((s * th[0], s * th[1]), reduce(_mul, [d] * (h - 1), (1, 0)))
+        minors.append(GaussianRational(*d_next))
+        if k + h == n:
+            break
+        th1 = _mul(th, tau)
+        q = [None] * h + [_mul(th, e)]
+        for i in range(1, h + 1):
+            acc = _mul(th1, (prev_re[k - 1 + i], prev_im[k - 1 + i]))
+            for t in range(1, i + 1):
+                y = _mul(q[h - i + t], (cur_re[m + t], cur_im[m + t]))
+                acc = acc[0] - y[0], acc[1] - y[1]
+            q[h - i] = _div(acc, tau)
+        if h == 1:
+            (a_r, a_i), x_re, x_im = q[1], cur_re, cur_im
+        else:
+            # the shifts j >= 1 folded into one row, read at l + 1 like T_k
+            (a_r, a_i), x_re, x_im = (1, 0), [0] * size, [0] * size
+            for l in range(k + h, size - k - h):
+                for j in range(1, h + 1):
+                    y = _mul(q[j], (cur_re[l + j], cur_im[l + j]))
+                    x_re[l + 1] += y[0]
+                    x_im[l + 1] += y[1]
+        b_r, b_i = q[0]
+        # s times the divisor's conjugate, folded into the row coefficients
+        gr, gi = reduce(_mul, [d] * h, e)
+        nrm = gr * gr + gi * gi
+        gr, gi = s * gr, -s * gi
+        a_r, a_i = a_r * gr - a_i * gi, a_r * gi + a_i * gr
+        b_r, b_i = b_r * gr - b_i * gi, b_r * gi + b_i * gr
+        c_r, c_i = _mul(th1, (gr, gi))
+        # a factor common to the coefficients and the norm leaves every
+        # quotient as it is and exact, so divide it out
+        g = math.gcd(a_r, a_i, b_r, b_i, c_r, c_i, nrm)
+        a_r, a_i, b_r, b_i, c_r, c_i, nrm = (
+            v // g for v in (a_r, a_i, b_r, b_i, c_r, c_i, nrm)
+        )
+        nxt_re, nxt_im = [0] * size, [0] * size
+        for l in range(k + h, size - k - h):
+            xr, xi = x_re[l + 1], x_im[l + 1]
+            yr, yi = cur_re[l], cur_im[l]
+            zr, zi = prev_re[l], prev_im[l]
+            nxt_re[l] = (
+                a_r * xr - a_i * xi + b_r * yr - b_i * yi - c_r * zr + c_i * zi
+            ) // nrm
+            nxt_im[l] = (
+                a_r * xi + a_i * xr + b_r * yi + b_i * yr - c_r * zi - c_i * zr
+            ) // nrm
+        prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, nxt_re, nxt_im
+        d, e = d_next, tau
+        k += h
+    return _divide_powers(minors, scale), upper
 
 
 def moment_sequence(count: int) -> list[GaussianRational]:

@@ -1,13 +1,14 @@
 """Exact dense linear algebra: reduction, kernels, two determinant routes."""
 
 import ast
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from recqi import linalg
+from recqi import linalg, thuemorse
 from recqi import (
     ZERO,
     ONE,
@@ -23,8 +24,10 @@ from recqi import (
     pow_i,
     rref,
 )
+from recqi.gaussian import to_parts
 from oracles import (
     det_cofactor,
+    hankel_minors_by_entries,
     kernel_basis,
     leading_minors_by_elimination,
     random_gaussian_integer,
@@ -397,6 +400,90 @@ def test_hankel_recurrence_of_rational_values():
             cols = [*range(k), k + 1]
             rows = [[m[r, c] for c in cols] for r in range(k + 1)]
             assert t == det_field(DenseMatrix.from_rows(rows))
+
+
+def block_step_table(rng, blocks, n):
+    """c(0..2n-2) on which the recurrence steps from row k over the h - 1
+    vanishing minors D(k+1..k+h-1), for each (k, h) in blocks, each k at
+    least 2k + h - 1 of the block before: c(k..2k+h-2) follow a random
+    linear recurrence of order k, so columns k..k+h-2 of rows 0..k are
+    combinations of columns 0..k-1 and T_k(k..k+h-2) vanish. Every other
+    value is random."""
+    values = []
+    for k, h in blocks:
+        values += [random_gaussian_integer(rng, 2) for _ in range(k - len(values))]
+        coeffs = [random_gaussian_integer(rng, 1) for _ in range(k)]
+        while len(values) < 2 * k + h - 1:
+            values.append(sum(map(operator.mul, coeffs, values[-k:]), ZERO))
+    values += [random_gaussian_integer(rng) for _ in range(2 * n - 1 - len(values))]
+    return values
+
+
+def packed_kernel_tables(kind):
+    if kind == "moments":
+        return [thuemorse.series_product(None, 600).coefficients]
+    if kind == "conjecture-check":
+        # the sign prefixes of `conjecture-check --seed=0`, drawn as the CLI does
+        rng = random.Random(0)
+        sigmas = [
+            thuemorse.SignSequence([rng.choice((1, -1)) for _ in range(10)])
+            for _ in range(20)
+        ]
+        return [thuemorse.series_product(s, 256).coefficients for s in sigmas]
+    if kind == "beta-gamma":
+        return [
+            getattr(thuemorse, f"{name}_coeffs")(offset + 254).coefficients[offset:]
+            for name in ("beta", "gamma")
+            for offset in range(3)
+        ]
+    rng = random.Random(20)
+    if kind == "random":
+        # Gaussian integers with parts up to 10^6
+        parts = [rng.randint(-(10**6), 10**6) for _ in range(2 * 2 * 60)]
+        values = [GaussianRational(*parts[j : j + 2]) for j in range(0, len(parts), 2)]
+        return [values[: 2 * n - 1] for n in (1, 2, 3, 8, 21, 60)]
+    if kind == "rational":
+        return [
+            [random_rational(rng, 5) for _ in range(2 * n - 1)]
+            for n in (1, 2, 5, 12, 30, 40)
+        ]
+    assert kind == "block-steps"
+    return [
+        block_step_table(rng, [(31, 4)], 45),
+        block_step_table(rng, [(3, 2), (33, 6)], 50),
+        block_step_table(rng, [(10, 3), (32, 5)], 45),
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["moments", "conjecture-check", "beta-gamma", "random", "rational", "block-steps"],
+)
+def test_packed_rows_match_the_per_entry_kernel(kind, monkeypatch):
+    repacked = []
+    respace = linalg._respace
+    monkeypatch.setattr(
+        linalg, "_respace", lambda *args: repacked.append(args) or respace(*args)
+    )
+    tables = packed_kernel_tables(kind)
+    for values in tables:
+        # the order-20 prefix first: a wrong kernel can grow its rows without
+        # bound, and on a short table it fails before it stalls
+        for prefix in (values[:39], values):
+            assert linalg._hankel_minors(
+                *to_parts(prefix)
+            ) == hankel_minors_by_entries(*to_parts(prefix))
+    if kind == "random":
+        # entries of 20 bits and more outgrow the first slot width
+        assert repacked
+    if kind == "block-steps":
+        # each table steps over a run of at least three vanishing minors
+        # past order 30
+        for values in tables:
+            minors = linalg.hankel_recurrence(values)[0]
+            assert any(
+                length >= 3 and closed for length, closed in zero_runs(minors[30:])
+            )
 
 
 def test_leading_minors_build_one_scalar_per_minor(monkeypatch):
