@@ -219,9 +219,10 @@ def hankel(
         raise ValueError("order must be nonnegative")
     count = max(0, 2 * order - 1)
     vals = [as_gaussian(seq(offset + k)) for k in range(count)]
-    return DenseMatrix(
-        order, order, [vals[s + t] for s in range(order) for t in range(order)]
-    )
+    entries = []
+    for s in range(order):
+        entries += vals[s : s + order]
+    return DenseMatrix(order, order, entries)
 
 
 def hankel_det_table(

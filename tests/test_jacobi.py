@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from recqi import (
+    GAUSSIAN_UNITS,
     ONE,
     ZERO,
     DegeneracyError,
@@ -21,9 +22,11 @@ from recqi import (
     u_formula,
     v_formula,
 )
+from recqi.gaussian import to_parts
 from oracles import (
     UNIT_POOL,
     hankel_ratio_check,
+    jfraction_by_convergents,
     leading_minors_by_elimination,
     moment_sequence,
 )
@@ -211,6 +214,20 @@ def test_extraction_of_random_rational_moments():
             assert v_coeff == ratio
         series = jfraction_to_series(jf, ms[0], 2 * depth)
         assert series.coefficients == tuple(ms)
+
+
+def test_reexpansion_of_a_deep_rational_fraction():
+    # random unit moments give u and v whose denominators share little: at
+    # depth 40 their lcm L has about 4,000 bits, so a re-expansion that
+    # carried L^n on paths of length n would take seconds here
+    depth = 40
+    rng = random.Random(0)
+    ms = [rng.choice(GAUSSIAN_UNITS) for _ in range(2 * depth + 1)]
+    jf = jfraction_from_moments(ms, depth)
+    assert to_parts(jf.u + jf.v)[2].bit_length() > 3000
+    series = jfraction_to_series(jf, ms[0], 2 * depth)
+    assert series == jfraction_by_convergents(jf, ms[0], 2 * depth)
+    assert series.coefficients == tuple(ms)
 
 
 def test_hankel_ratio_degenerate_table():

@@ -327,6 +327,28 @@ def test_jfraction_paths_match_the_convergents(jf, c0, order):
     assert paths == jfraction_by_convergents(jf, c0, order).coefficients
 
 
+# zero parts are common, so the zero skips run both ways
+INTEGER_PARTS = st.one_of(st.integers(-2, 2), st.integers(-(10**9), 10**9))
+GAUSSIAN_INTEGERS = st.builds(GaussianRational, INTEGER_PARTS, INTEGER_PARTS)
+
+
+@st.composite
+def integer_jfractions(draw):
+    depth = draw(st.integers(0, 12))
+    coeffs = st.lists(GAUSSIAN_INTEGERS, min_size=depth, max_size=depth)
+    return JFraction(draw(coeffs), draw(coeffs))
+
+
+# Gaussian-integer u and v take the int-pair recurrence; c0 need not be one
+@PROPERTY
+@given(
+    integer_jfractions(), st.one_of(GAUSSIAN_INTEGERS, gaussians(6)), st.integers(0, 30)
+)
+def test_jfraction_integer_paths_match_the_convergents(jf, c0, order):
+    paths = jfraction_to_series(jf, c0, order).coefficients
+    assert paths == jfraction_by_convergents(jf, c0, order).coefficients
+
+
 @st.composite
 def presentations(draw, p=None, q=None, max_dim=4):
     """Presentations over the given alphabet sizes, else sizes at most 2,
