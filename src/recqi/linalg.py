@@ -366,15 +366,15 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
     may overflow into each other, but the int is still sum_l N_l 2^(w l),
     and as the odd part divides every N_l, the quotient is
     sum_l (N_l / odd) 2^(w l) exactly. Its slots can be read back once each
-    provably lies below 2^(w-1): that follows from a bound 2^e on the
-    stored slots and the 1-norm of the coefficients; where it fails, e is
-    measured again by biased mask tests, and if it still fails the rows are
-    repacked at a larger w. The norm's power of two and the power of two
-    common to every slot (the low bits of the biased slots show it) go into
-    sigma, so the rows of the paper's tables, whose entries carry ever more
-    factors of 2, stay a few bits a slot. Returns D(0..n) of c, D(k) of L*c
-    divided by L^k, and the int pairs of T_k(k+1) of L*c for k <= n-2 while
-    D(1..k) != 0.
+    provably lies below 2^(w-1): that follows from the 1-norm of the
+    coefficients and the bound 2^e on each stored row's slots, measured once
+    by biased mask tests when the row is made; where it fails, both rows are
+    read slot by slot and packed again at a larger w. The norm's power of two
+    and the power of two common to every slot (the low bits of the biased
+    slots show it) go into sigma, so the rows of the paper's tables, whose
+    entries carry ever more factors of 2, stay a few bits a slot. Returns
+    D(0..n) of c, D(k) of L*c divided by L^k, and the int pairs of T_k(k+1)
+    of L*c for k <= n-2 while D(1..k) != 0.
     """
     size = len(re)
     n = (size + 1) // 2
@@ -436,25 +436,16 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
         c = [v // g << sig_prev - sig for v in coeffs[-2:]]
         nu = _trailing_zeros(nrm)
         odd = nrm >> nu
-        measured = False
-        while True:
-            # no quotient slot exceeds bound in absolute value
-            bound = (
-                (sum(map(abs, a)) << e_cur) + (abs(c[0]) + abs(c[1]) << e_prev)
-            ) // odd
-            if bound >> (w - 1) == 0:
-                break
-            if not measured:
-                e_cur = _slot_bits(cur_re, cur_im, w, bias >> w * 2 * k, e_cur)
-                e_prev = _slot_bits(prev_re, prev_im, w, bias >> w * 2 * p, e_prev)
-                measured = True
-                continue
+        # no quotient slot exceeds bound in absolute value
+        bound = (
+            (sum(map(abs, a)) << e_cur) + (abs(c[0]) + abs(c[1]) << e_prev)
+        ) // odd
+        if bound >> (w - 1):
             w2 = _slot_width(bound.bit_length() + 1)
-            cur_re, cur_im = (
-                _respace(r, w, w2, size - 2 * k) for r in (cur_re, cur_im)
-            )
-            prev_re, prev_im = (
-                _respace(r, w, w2, size - 2 * p) for r in (prev_re, prev_im)
+            cur_re, cur_im, prev_re, prev_im = (
+                _pack(part, w2)
+                for r, i, j in ((cur_re, cur_im, k), (prev_re, prev_im, p))
+                for part in zip(*_entries(r, i, w, 0, size - 2 * j, 0))
             )
             w, bias = w2, _ones(w2, size) << (w2 - 1)
         length = size - 2 * (k + h)
@@ -489,7 +480,8 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
         prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, new_re, new_im
         # a zero row has every power of two, so any sigma serves it
         sig_prev, sig_cur = sig_cur, max(sig - nu + t, 0)
-        e_prev, e_cur = e_cur, (bound >> t).bit_length()
+        e_prev = e_cur
+        e_cur = _slot_bits(new_re, new_im, w, zero, (bound >> t).bit_length())
         p = k
         d, e = d_next, tau
         k += h
@@ -513,19 +505,6 @@ def _pack(values: list, w: int) -> int:
     half, size = 1 << (w - 1), w // 8
     return int.from_bytes(
         b"".join((v + half).to_bytes(size, "little") for v in values), "little"
-    )
-
-
-def _respace(r: int, w: int, w2: int, count: int) -> int:
-    """The biased row r of count slots at slot width w2 >= w: the bytes of
-    each slot move to its new place, then the bias grows to 2^(w2-1)."""
-    size, size2 = w // 8, w2 // 8
-    src = r.to_bytes(count * size, "little")
-    dst = bytearray(count * size2)
-    for j in range(size):
-        dst[j::size2] = src[j::size]
-    return int.from_bytes(dst, "little") + (_ones(w2, count) << (w2 - 1)) - (
-        _ones(w2, count) << (w - 1)
     )
 
 

@@ -334,7 +334,8 @@ def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
         g = math.gcd(scale * lift, *parts)
         level = [([x // g], [y // g]) for (x,), (y,) in level]
         scale = scale * lift // g
-        _check_bits(max(scale, *map(abs, parts)) // g, f"the vector after letter {k}")
+        largest = max(scale, max(map(abs, parts)) // g)
+        _check_bits(largest, f"the vector after letter {k}")
     return from_parts(*level[0], scale)[0]
 
 

@@ -186,24 +186,24 @@ def series_product(sigma: SignSequence | None, order: int) -> SeriesTruncation:
 _INV_I_MINUS_ONE = ONE / (I - ONE)  # -1/2 - 1/2 i
 
 
-def _difference(order: int, sigma: SignSequence | None, lag: int) -> SeriesTruncation:
+def _difference(order: int, lag: int) -> SeriesTruncation:
     # (c_n - c_(n-lag)) / (i - 1), with c_n alone below the lag
-    c = series_product(sigma, order).coefficients
+    c = series_product(None, order).coefficients
     diff = [x - c[n - lag] if n >= lag else x for n, x in enumerate(c)]
     return SeriesTruncation([x * _INV_I_MINUS_ONE for x in diff])
 
 
-def beta_coeffs(order: int, sigma: SignSequence | None = None) -> SeriesTruncation:
-    """First difference of the product series, divided by (i - 1).
+def beta_coeffs(order: int) -> SeriesTruncation:
+    """First difference of the all-plus product series, divided by (i - 1).
 
     beta_n = (c_n - c_(n-1)) / (i - 1); index 0 carries c_0 / (i - 1).
     """
-    return _difference(order, sigma, 1)
+    return _difference(order, 1)
 
 
-def gamma_coeffs(order: int, sigma: SignSequence | None = None) -> SeriesTruncation:
+def gamma_coeffs(order: int) -> SeriesTruncation:
     """Second-step difference: gamma_n = (c_n - c_(n-2)) / (i - 1)."""
-    return _difference(order, sigma, 2)
+    return _difference(order, 2)
 
 
 def moment(n: int) -> GaussianRational:

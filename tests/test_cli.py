@@ -315,6 +315,20 @@ def test_eval_refuses_vector_parts_past_the_cap(capsys, tmp_path):
     path.write_text(Presentation(1, 1, [ONE, ONE], {(0, 0): half}).to_json_text())
     word = "0" * 20000
     assert run_cli(capsys, "recmat", "eval", str(path), word, word) == (0, "1\n", "")
+    # p = 2, q = 1, dim 1, shifts 1/2 and 1/3: n zeros give 1/2^n, whose
+    # denominator has n + 1 bits; the content 3 divided out of each letter
+    # hides none of them from the cap
+    shifts = {(0, 0): DenseMatrix(1, 1, [Fraction(1, 2)])}
+    shifts[1, 0] = DenseMatrix(1, 1, [Fraction(1, 3)])
+    path.write_text(Presentation(2, 1, [ONE], shifts).to_json_text())
+    code, out, err = run_cli(capsys, "recmat", "eval", str(path), "0" * 4095, "0" * 4095)
+    assert (code, out, err) == (0, f"1/{2**4095}\n", "")
+    code, out, err = run_cli(capsys, "recmat", "eval", str(path), "0" * 4096, "0" * 4096)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the vector after letter 4096 has an entry of 4097 bits,"
+        " more than the cap of 4096\n"
+    )
 
 
 def test_unfold_csv_and_json(capsys):
@@ -500,6 +514,7 @@ NEGATIVE_ARGUMENTS = [
     ("conjecture-check --prefix-len -1", "--trials and --prefix-len must be nonnegative"),
     # with no trials, no per-trial table would check --max-n
     ("conjecture-check --trials 0 --max-n -3", "--max-n must be nonnegative"),
+    ("recmat unfold builtin:H --depth -1", "--depth must be nonnegative"),
 ]
 
 

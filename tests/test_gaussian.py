@@ -172,6 +172,9 @@ def test_parse_examples():
         ("--1", 1),
         ("1+1", 3),
         ("1+1j", 3),
+        # trailing characters after 'i'
+        ("1+ix", 3),
+        ("1+2ix", 4),
         # digits are ASCII 0-9 only: Arabic-Indic one, three/four and two,
         # then superscript two, which int() would read or reject unplaced
         ("\u0661", 0),

@@ -460,19 +460,24 @@ def packed_kernel_tables(kind):
     ["moments", "conjecture-check", "beta-gamma", "random", "rational", "block-steps"],
 )
 def test_packed_rows_match_the_per_entry_kernel(kind, monkeypatch):
-    repacked = []
-    respace = linalg._respace
+    widths = []
+    slot_width = linalg._slot_width
     monkeypatch.setattr(
-        linalg, "_respace", lambda *args: repacked.append(args) or respace(*args)
+        linalg, "_slot_width", lambda bits: widths.append(bits) or slot_width(bits)
     )
+    repacked = False
     tables = packed_kernel_tables(kind)
     for values in tables:
         # the order-20 prefix first: a wrong kernel can grow its rows without
         # bound, and on a short table it fails before it stalls
         for prefix in (values[:39], values):
+            widths.clear()
             assert linalg._hankel_minors(
                 *to_parts(prefix)
             ) == hankel_minors_by_entries(*to_parts(prefix))
+            # the first width is the packing of the values, each later one
+            # a repack
+            repacked |= len(widths) > 1
     if kind == "random":
         # entries of 20 bits and more outgrow the first slot width
         assert repacked

@@ -684,6 +684,22 @@ def test_json_rejects_malformed_input():
         Presentation.from_json_dict(short_row)
     with pytest.raises(ParseError):
         Presentation.from_json_dict([1, 2])
+    shifts = good["shifts"]
+    for change, message in [
+        ({"labels": ["H0", 1]}, "labels must be a list of strings"),
+        ({"labels": "H0H1"}, "labels must be a list of strings"),
+        ({"labels": ["H0"]}, "labels must list one name per generator"),
+        ({"shifts": [["1"]]}, "shifts must be an object keyed by 's,t'"),
+        ({"shifts": {**shifts, "0,0": [["1", "1i"]]}}, "shift '0,0' must have 2 rows"),
+        (
+            {"shifts": {**shifts, "1,1": [["1i", 1], ["0", "0"]]}},
+            "shift '1,1' entries must be strings",
+        ),
+        ({"p": 0}, "alphabet sizes must be at least 1"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            Presentation.from_json_dict({**good, **change})
+        assert str(info.value) == message
 
 
 def test_diagonal_length_function():
