@@ -85,10 +85,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        d, f = other._d, self._d
-        if d == f:
-            return _reduced(other._a - self._a, other._b - self._b, d)
-        return _reduced(other._a * f - self._a * d, other._b * f - self._b * d, d * f)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)

@@ -123,30 +123,18 @@ class DenseMatrix:
         return f"DenseMatrix({self._rows}x{self._cols})"
 
     def is_diagonal(self) -> bool:
-        return all(
-            not self._e[r * self._cols + c]
-            for r in range(self._rows)
-            for c in range(self._cols)
-            if r != c
-        )
+        return self.is_upper_triangular() and self.transpose().is_upper_triangular()
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            not self._e[r * self._cols + c]
-            for r in range(self._rows)
-            for c in range(min(r, self._cols))
-        )
+        c, e = self._cols, self._e
+        return not any(any(e[r * c : r * c + min(r, c)]) for r in range(self._rows))
 
     def is_unit_lower_triangular(self) -> bool:
-        if not self.is_square:
-            return False
-        for r in range(self._rows):
-            if self._e[r * self._cols + r] != ONE:
-                return False
-            for c in range(r + 1, self._cols):
-                if self._e[r * self._cols + c]:
-                    return False
-        return True
+        return (
+            self.is_square
+            and all(x == ONE for x in self.diagonal())
+            and self.transpose().is_upper_triangular()
+        )
 
     def to_csv(self) -> str:
         """One line per row, cells in canonical Gaussian form."""

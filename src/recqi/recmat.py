@@ -582,37 +582,35 @@ def _orbit_span(seed, actions) -> SpanBasis:
 def minimize(pres: Presentation) -> Presentation:
     """Smallest presentation of the same function; generator 0 is the function.
 
-    The generators are e0 and the forward-orbit vectors whose pairings with
-    the observation orbit are independent of those before: independence
-    modulo what no observation sees. The first observation rows independent
-    on them make an invertible block of the pairings, and one solve against
-    it gives every induced shift.
+    The generators are the forward-orbit vectors, e0 first, whose pairings
+    with the observation orbit are independent of those before: independence
+    modulo what no observation sees. One `rref` of the pairings of every
+    observation with them and with their images gives every induced shift.
     """
     if pres.dim == 0:
         return zero_presentation(pres.p, pres.q)
     mats = pres.shift_items()
     forward = [_columns(mat.transpose()) for _, mat in mats]
-    e0 = [ONE] + [ZERO] * (pres.dim - 1)
-    fwd = _orbit_span(e0, forward).vectors()
+    # the orbit's first stored vector is its seed e0, the only one of pivot 0
+    fwd = _orbit_span([ONE] + [ZERO] * (pres.dim - 1), forward).vectors()
     obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats]).vectors()
     # v times the transpose of a matrix of rows pairs v with each of its rows
     pair_obs = _columns(DenseMatrix.from_rows(obs).transpose())
     kept = SpanBasis(len(obs))
     chosen, columns = [], []
-    for cand in [e0] + fwd:
+    for cand in fwd:
         column = _apply_action(pair_obs, cand)
         if kept.add(column) is not None:
             chosen.append(cand)
             columns.append(column)
     m = len(chosen)
     # shift(s, t) u_j minus its coordinates x in the chosen vectors pairs to 0
-    # with every observation, so block x = its pairings: [block | pairings] ~ [I | x]
+    # with every observation, so pairings x = image pairings; the chosen
+    # columns are independent and span every image column, so the unique
+    # RREF of [pairings | image pairings] is [I | x] over zero rows
     images = [_apply_action(action, u) for action in forward for u in chosen]
     pair_images = _columns(DenseMatrix.from_rows(images).transpose())
-    block, rows = SpanBasis(m), []
-    for o, row in zip(obs, zip(*columns)):
-        if len(rows) < m and block.add(row) is not None:
-            rows.append([*row, *_apply_action(pair_images, o)])
+    rows = [[*r, *_apply_action(pair_images, o)] for o, r in zip(obs, zip(*columns))]
     reduced, _, pivots = rref(DenseMatrix.from_rows(rows))
     if pivots != tuple(range(m)):
         raise AssertionError("pairing block is not invertible")
@@ -633,12 +631,13 @@ def complexity(pres: Presentation) -> int:
 
 def same_function(pa: Presentation, pb: Presentation) -> bool:
     """Exact equality of represented functions: the difference is zero
-    exactly when every vector of its observation orbit is 0 at generator 0."""
+    exactly when every vector of its observation orbit is 0 at generator 0,
+    that is, when no stored echelon vector has its pivot there."""
     if pa.p != pb.p or pa.q != pb.q:
         return False
     diff = rec_sum(pa, rec_scale(-1, pb))
     obs = _orbit_span(list(diff.init), [_columns(m) for _, m in diff.shift_items()])
-    return not any(vec[0] for vec in obs.vectors())
+    return 0 not in obs.pivots
 
 
 # -- builtin presentations ---------------------------------------------------

@@ -12,7 +12,7 @@ division instead of the path recurrence of ``jfraction_to_series``,
 generator values on every word pair up to a length instead of the orbits
 that ``minimize`` and ``observation_kernel`` compute, and a quotient by the
 null space of the pairing matrix, completed to a basis of the forward orbit,
-instead of ``minimize``'s solve on one invertible block of it.
+instead of ``minimize``'s one ``rref`` of it.
 """
 
 import math

@@ -17,6 +17,7 @@ import pytest
 
 from recqi import (
     ONE,
+    DegeneracyError,
     DenseMatrix,
     GaussianRational,
     Presentation,
@@ -25,7 +26,7 @@ from recqi import (
     evaluate,
     same_function,
 )
-from recqi import cli, recmat, thuemorse
+from recqi import cli, jacobi, recmat, thuemorse
 from recqi.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -149,7 +150,7 @@ def test_verify_lu_depth_contract(capsys):
     assert "0..8" in err
 
 
-def test_jfraction_table(capsys):
+def test_jfraction_table(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "jfraction", "--count", "8")
     assert code == 0
     lines = out.splitlines()
@@ -159,6 +160,15 @@ def test_jfraction_table(capsys):
     assert lines[4] == "3,-1i,-1i,-1i,-1i,yes"
     assert lines[9] == "8,1i,1i,1i,1i,yes"
     assert err.strip() == "9/9 rows match"
+
+    # the digit-sum moments never degenerate, but a degenerate table exits 1
+    def degenerate(moments, depth):
+        raise DegeneracyError("leading principal minor of order 3 vanishes", level=3)
+
+    monkeypatch.setattr(jacobi, "jfraction_from_moments", degenerate)
+    code, out, err = run_cli(capsys, "jfraction", "--count", "8")
+    message = "degenerate: leading principal minor of order 3 vanishes\n"
+    assert (code, out, err) == (1, "", message)
 
 
 def test_jfraction_at_the_count_cap(capsys):
@@ -641,6 +651,7 @@ def test_result_size_cap_admits_the_bound(tmp_path, capsys, monkeypatch):
     [
         ("product", 2, "inner alphabets do not match"),
         ("hadamard", 1, "alphabets do not match"),
+        ("convolve", 1, "alphabets do not match"),
     ],
 )
 def test_result_size_cap_keeps_the_alphabet_message(

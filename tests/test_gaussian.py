@@ -95,6 +95,14 @@ def test_mixed_scalar_ops():
     assert (3 - I) - 3 == -I
     assert 2 / (ONE + I) == ONE - I
     assert ONE + Fraction(1, 2) == GaussianRational(Fraction(3, 2))
+    assert Fraction(1, 2) - GaussianRational(Fraction(1, 3), 1) == GaussianRational(
+        Fraction(1, 6), -1
+    )
+    # a str operand is neither coerced nor parsed
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for args in ((ONE, "1"), ("1", ONE)):
+            with pytest.raises(TypeError, match="GaussianRational"):
+                op(*args)
 
 
 def test_hash_consistent_with_int_equality():

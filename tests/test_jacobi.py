@@ -22,6 +22,7 @@ from recqi import (
     u_formula,
     v_formula,
 )
+from recqi import jacobi
 from recqi.gaussian import to_parts
 from oracles import (
     UNIT_POOL,
@@ -120,10 +121,17 @@ def test_reexpansion_on_random_nondegenerate_sequences():
             assert series.coefficient(n) == ms[n]
 
 
-def test_builtin_check_flag():
+def test_builtin_check_flag(monkeypatch):
     # the self-check re-expands and compares; it must accept the moments
     jf = jfraction_from_moments(moment_sequence(33), 16)
     assert jf.depth == 16
+    # and refuse a re-expansion one coefficient short of them
+    reexpand = jacobi.jfraction_to_series
+    monkeypatch.setattr(
+        jacobi, "jfraction_to_series", lambda jf, c0, order: reexpand(jf, c0, order - 1)
+    )
+    with pytest.raises(ArithmeticError, match="re-expansion disagrees with the moments"):
+        jfraction_from_moments(moment_sequence(33), 16)
 
 
 def test_u_closed_form():

@@ -46,12 +46,17 @@ def test_constructors_and_access():
     assert m[1, 0] == GaussianRational(3)
     assert DenseMatrix.identity(2) == DenseMatrix.from_rows([[1, 0], [0, 1]])
     assert DenseMatrix.zeros(2, 3).entries == tuple([ZERO] * 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 4 entries, got 1"):
         DenseMatrix(2, 2, [ONE])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative dimension"):
+        DenseMatrix(-1, 0, ())
+    with pytest.raises(ValueError, match="ragged rows"):
         DenseMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"\(2, 0\) out of range for 2x2"):
         m[2, 0]
+    for r in (-1, 2):
+        with pytest.raises(IndexError, match=f"row {r} out of range"):
+            m.row_list(r)
 
 
 def test_arithmetic_and_transpose():
@@ -123,8 +128,9 @@ def test_det_examples():
     singular = DenseMatrix.from_rows([[1, 2], [2, 4]])
     assert det_field(singular) == ZERO
     assert det_bareiss(singular) == ZERO
-    with pytest.raises(ValueError):
-        det_field(DenseMatrix.zeros(2, 3))
+    for det in (det_field, det_bareiss):
+        with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+            det(DenseMatrix.zeros(2, 3))
 
 
 def test_det_needs_row_swap():
@@ -460,21 +466,36 @@ def packed_kernel_tables(kind):
     ["moments", "conjecture-check", "beta-gamma", "random", "rational", "block-steps"],
 )
 def test_packed_rows_match_the_per_entry_kernel(kind, monkeypatch):
-    widths = []
+    widths, limit = [], 0
     slot_width = linalg._slot_width
-    monkeypatch.setattr(
-        linalg, "_slot_width", lambda bits: widths.append(bits) or slot_width(bits)
-    )
+
+    def checked_slot_width(bits):
+        # a wrong slot bound can grow the rows without end instead of giving
+        # wrong minors: stop it at its first request far past the entries
+        assert bits <= limit, f"a slot of {bits} bits requested, past {limit}"
+        widths.append(bits)
+        return slot_width(bits)
+
+    monkeypatch.setattr(linalg, "_slot_width", checked_slot_width)
     repacked = False
     tables = packed_kernel_tables(kind)
     for values in tables:
-        # the order-20 prefix first: a wrong kernel can grow its rows without
-        # bound, and on a short table it fails before it stalls
+        # the order-20 prefix first: on a short table a wrong kernel fails early
         for prefix in (values[:39], values):
+            parts = to_parts(prefix)
+            expected = hankel_minors_by_entries(*parts)
+            # each row entry is a minor of L*c of the order of some D(k) of
+            # L*c, and about as large: on these tables the correct kernel asks
+            # for at most 8 bits more than the largest part of the D(k)
+            scale = parts[2]
+            largest = max(
+                abs(z).bit_length()
+                for k, minor in enumerate(expected[0])
+                for z in (minor * scale**k).integer_parts()
+            )
+            limit = 4 * largest + 64
             widths.clear()
-            assert linalg._hankel_minors(
-                *to_parts(prefix)
-            ) == hankel_minors_by_entries(*to_parts(prefix))
+            assert linalg._hankel_minors(*parts) == expected
             # the first width is the packing of the values, each later one
             # a repack
             repacked |= len(widths) > 1
@@ -551,6 +572,11 @@ def test_span_basis():
     assert any(sb.reduce(ints(0, 0, 1)))
     assert sb.pivots == (0, 1)
     assert len(sb.vectors()) == 2
+    # int and Fraction entries are coerced; the stored rows hold scalars
+    assert sb.reduce([2, Fraction(1, 2), 3]) == ints(0, 0, 1)
+    assert all(type(x) is GaussianRational for x in sb.reduce([2, 1, 3]))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        sb.reduce(ints(1, 0))
 
 
 def test_shape_predicates():
@@ -560,6 +586,11 @@ def test_shape_predicates():
     assert low.transpose().is_upper_triangular()
     assert DenseMatrix.from_rows([[2, 0], [0, 3]]).is_diagonal()
     assert not DenseMatrix.from_rows([[2, 0], [5, 1]]).is_unit_lower_triangular()
+    assert not DenseMatrix.from_rows([[1, 2], [0, 1]]).is_unit_lower_triangular()
+    assert not DenseMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_unit_lower_triangular()
+    assert DenseMatrix.from_rows([[2, 0, 0], [0, 3, 0]]).is_diagonal()
+    assert not DenseMatrix.from_rows([[2, 0, 1], [0, 3, 0]]).is_diagonal()
+    assert not DenseMatrix.from_rows([[2, 0], [0, 3], [1, 0]]).is_diagonal()
     assert DenseMatrix.from_rows([[1, 0], [0, 2]]).diagonal() == ints(1, 2)
 
 

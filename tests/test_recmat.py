@@ -608,7 +608,7 @@ def dense_presentation(rng, p, q, dim):
 
 def test_minimize_matches_the_completion_oracle():
     # the quotient by the null space, completed to a basis of the forward
-    # orbit, has the same bytes as the solve on one block of the pairings
+    # orbit, has the same bytes as the one rref of the pairings
     builtins = [builtin(name) for name in sorted(MINIMIZE_DIGESTS)]
     cases = list(builtins)
     for op in BINARY_OPS.values():

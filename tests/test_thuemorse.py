@@ -148,6 +148,8 @@ def test_series_product_examples():
     assert series_product(None, 0).coefficients == (ONE,)
     assert series_product(None, 3).coefficients == (ONE, I, I, -ONE)
     assert series_product(SignSequence([-1]), 2).coefficients == (ONE, -I, I)
+    with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        series_product(None, -1)
 
 
 def test_series_product_is_digit_sum_power():
