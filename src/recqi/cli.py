@@ -268,11 +268,7 @@ def cmd_recmat_unfold(args) -> int:
     if args.format == "json":
         import json
 
-        fmt = gaussian.format_gaussian
-        rows = [
-            [fmt(matrix[r, c]) for c in range(matrix.cols)]
-            for r in range(matrix.rows)
-        ]
+        rows = [list(map(gaussian.format_gaussian, row)) for row in matrix.to_lists()]
         _emit(json.dumps(rows, indent=2) + "\n", args.output)
     else:
         _emit(matrix.to_csv() + "\n", args.output)

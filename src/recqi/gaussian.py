@@ -251,24 +251,30 @@ def format_gaussian(value: GaussianRational) -> str:
     return _format_ratio(a, d) + sign + _format_ratio(abs(b), d) + "i"
 
 
-def _scan_unsigned(s: str, pos: int) -> tuple[int, int, int]:
-    # (numerator, denominator, end position) of digits ["/" digits] at pos,
-    # unreduced
-    n = len(s)
-    start = pos
+#: longest digit run a value takes: CPython's default int-conversion limit
+#: from 3.11 on, which 3.10, with no limit, keeps here too
+MAX_DIGITS = 4300
+
+
+def _scan_digits(s: str, start: int, expected: str) -> tuple[int, int]:
+    # (value, end position) of the run of ASCII digits at start
+    pos, n = start, len(s)
     while pos < n and s[pos] in "0123456789":
         pos += 1
     if pos == start:
-        raise ParseError("expected digits", start)
-    num = int(s[start:pos])
-    if pos < n and s[pos] == "/":
-        pos += 1
-        dstart = pos
-        while pos < n and s[pos] in "0123456789":
-            pos += 1
-        if pos == dstart:
-            raise ParseError("expected digits after '/'", dstart)
-        den = int(s[dstart:pos])
+        raise ParseError(expected, start)
+    if pos - start > MAX_DIGITS:
+        raise ParseError(f"more than {MAX_DIGITS} digits", start)
+    return int(s[start:pos]), pos
+
+
+def _scan_unsigned(s: str, pos: int) -> tuple[int, int, int]:
+    # (numerator, denominator, end position) of digits ["/" digits] at pos,
+    # unreduced
+    num, pos = _scan_digits(s, pos, "expected digits")
+    if pos < len(s) and s[pos] == "/":
+        dstart = pos + 1
+        den, pos = _scan_digits(s, dstart, "expected digits after '/'")
         if den == 0:
             raise ParseError("zero denominator", dstart)
         return num, den, pos

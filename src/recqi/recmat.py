@@ -184,10 +184,7 @@ class Presentation:
             "labels": list(self._labels),
             "init": [format_gaussian(x) for x in self._init],
             "shifts": {
-                f"{s},{t}": [
-                    [format_gaussian(m[r, c]) for c in range(self._dim)]
-                    for r in range(self._dim)
-                ]
+                f"{s},{t}": [list(map(format_gaussian, row)) for row in m.to_lists()]
                 for (s, t), m in self._shifts.items()
             },
         }
@@ -279,95 +276,157 @@ def zero_presentation(p: int = 2, q: int = 2) -> Presentation:
 # -- evaluation and unfolding ---------------------------------------------
 
 
-def _columns(m: DenseMatrix) -> list:
-    """Nonzero entries [(k, m[k, j]), ...] of each column j of m."""
-    r, c, e = m.rows, m.cols, m.entries
-    return [[(k, e[k * c + j]) for k in range(r) if e[k * c + j]] for j in range(c)]
+def _sparse_rows(rows) -> list:
+    """Nonzero entries [(k, x), ...] of each row of a matrix given as lists."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
 
 
-def _apply_action(cols, vec):
-    """The one shift action: row vector vec times the matrix of _columns(m),
-    out[j] = sum_k m[k, j] * vec[k]; with _columns(m.transpose()), m times vec."""
+def _apply_action(rows, vec):
+    """The one shift action: the matrix of _sparse_rows(rows) times vec,
+    out[r] = sum_k m[r, k] * vec[k]; with the rows of m's transpose, the row
+    vector vec times m."""
     out = []
-    for col in cols:
-        terms = [w * vec[k] for k, w in col if vec[k]]
+    for row in rows:
+        terms = [w * vec[k] for k, w in row if vec[k]]
         out.append(sum(terms[1:], terms[0]) if terms else ZERO)
     return out
 
 
-# largest part, in bits, of a vector that `evaluate` or `minimize` computes:
-# builtin compositions stay under 2^8 bits, dense entries double every 2 dims
-# in an orbit and grow by a fixed amount per letter in `evaluate`; the cap
-# keeps every value far below CPython's 4300-digit limit on int-to-str
+# largest part, in bits, of a vector that `evaluate` or `minimize` computes
+# or of a level that `unfold_levels` holds: builtin compositions stay under
+# 2^8 bits, dense entries double every 2 dims in an orbit and grow by a fixed
+# amount per letter in `evaluate`; the cap keeps every value far below
+# CPython's 4300-digit limit on int-to-str
 MAX_ORBIT_BITS = 2**12
 # cap on the largest part's bits times the length of a vector in a `minimize`
 # orbit, which each reduction against the span costs together: sparse random
 # files of dim 60 reach 566 bits, builtin compositions at most 224 bits x 52
 MAX_ORBIT_SIZE = 2**14
+# cap on the nonzero values times the bits of their common denominator, which
+# `evaluate` and `unfold_levels` scale each of them by: a dense dim-256 file
+# with p = q = 2 and every entry 1/256 needs 2^18 x 9 bits
+MAX_LIFT_SIZE = 2**22
+# cap on the letters of a word times the terms of a letter in `evaluate`:
+# a dense dim-256 shift over a small denominator takes words of 15 letters,
+# about 2 s at 1.7 us a term on a 2-vCPU guest
+MAX_EVAL_TERMS = 2**20
 
 
-def _check_bits(largest: int, what: str) -> None:
+def _check_bits(largest: int, what: str) -> int:
+    """The bits of largest; raises ValueError past MAX_ORBIT_BITS."""
     bits = largest.bit_length()
     if bits > MAX_ORBIT_BITS:
         raise ValueError(
             f"{what} has an entry of {bits} bits, more than the cap of {MAX_ORBIT_BITS}"
         )
+    return bits
+
+
+def _bounded(level, scale: int, bits: int, what: str) -> tuple[list, int, int]:
+    """A level of (re, im) int lists over scale, its largest part or scale of
+    at most `bits` bits. Past MAX_ORBIT_BITS, the content of the parts and the
+    scale is divided out, so a value that stays bounded keeps small parts, and
+    the bits are measured: ValueError when they still pass the cap."""
+    if bits <= MAX_ORBIT_BITS:
+        return level, scale, bits
+    parts = [z for x_re, x_im in level for z in x_re + x_im]
+    g = math.gcd(scale, *parts)
+    level = [([x // g for x in x_re], [y // g for y in x_im]) for x_re, x_im in level]
+    scale //= g
+    return level, scale, _check_bits(max(scale, max(map(abs, parts)) // g), what)
 
 
 def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
     """Value of the represented function at a word pair.
 
-    Raises ValueError once the vector after a letter has a part of more than
-    MAX_ORBIT_BITS bits."""
+    Raises ValueError before it starts when the letters times the terms of
+    the largest shift pass MAX_EVAL_TERMS, and once the vector after a letter
+    has a part of more than MAX_ORBIT_BITS bits."""
     if pair.p != pres.p or pair.q != pres.q:
         raise ValueError("word pair alphabets do not match the presentation")
     if pres.dim == 0:
         return ZERO
-    actions, lift = _int_actions(pres)
-    init_re, init_im, scale = to_parts(pres.init)
-    level = [([x], [y]) for x, y in zip(init_re, init_im)]
+    actions, lift, growth = _int_actions(pres)
+    # a letter combines each generator from the nonzero entries of its shift,
+    # times L, and parts of up to MAX_ORBIT_BITS bits, then may take the gcd of
+    # every part: each entry and each generator is one term, weighted by the
+    # square of the parts' bits, L's included, over MAX_ORBIT_BITS
+    terms = max(sum(map(len, cols)) for cols in actions) + pres.dim
+    terms *= (lift.bit_length() + MAX_ORBIT_BITS) ** 2 // MAX_ORBIT_BITS**2
+    if len(pair) * terms > MAX_EVAL_TERMS:
+        raise ValueError(
+            f"a word of {len(pair)} letters on shifts of up to {terms} terms:"
+            f" {len(pair)} x {terms} is more than the cap of {MAX_EVAL_TERMS}"
+        )
+    level, scale, bits = _init_level(pres)
     for k, (s, t) in enumerate(pair.letters(), 1):
         level = [_combine(col, level) for col in actions[s * pres.q + t]]
-        # the vector is its int parts over scale with their content divided
-        # out, so a value that stays bounded keeps small parts
-        parts = [z for x_re, x_im in level for z in x_re + x_im]
-        g = math.gcd(scale * lift, *parts)
-        level = [([x // g], [y // g]) for (x,), (y,) in level]
-        scale = scale * lift // g
-        largest = max(scale, max(map(abs, parts)) // g)
-        _check_bits(largest, f"the vector after letter {k}")
+        what = f"the vector after letter {k}"
+        level, scale, bits = _bounded(level, scale * lift, bits + growth, what)
     return from_parts(*level[0], scale)[0]
 
 
-def _int_actions(pres: Presentation) -> tuple[list, int]:
+def _lifted(values, what: str) -> tuple[list, list, int]:
+    """to_parts(values), refused with ValueError before any value is scaled
+    when the nonzero values times the bits of their common denominator pass
+    MAX_LIFT_SIZE."""
+    denominators = [x.integer_parts()[2] for x in values if x]
+    lift = 1
+    for d in set(denominators):
+        lift = math.lcm(lift, d)
+        n, bits = len(denominators), lift.bit_length()
+        if n * bits > MAX_LIFT_SIZE:
+            raise ValueError(
+                f"{what} have {n} nonzero entries over a common denominator of"
+                f" at least {bits} bits: {n} x {bits} is more than the cap of"
+                f" {MAX_LIFT_SIZE}"
+            )
+    return to_parts(values)
+
+
+def _int_actions(pres: Presentation) -> tuple[list, int, int]:
     """The shifts as int lists: per shift s * q + t and column j, the
     (k, re, im) of each nonzero L * shift(s, t)[k, j], with L the lcm of the
-    denominators of every shift entry; and L."""
+    denominators of every shift entry; L; and the bits by which one step can
+    grow the largest part or scale of a level, those of L or of the largest
+    column 1-norm, |re| + |im| summed."""
     dim = pres.dim
-    w_re, w_im, lift = to_parts([x for _, m in pres.shift_items() for x in m.entries])
+    entries = [x for _, m in pres.shift_items() for x in m.entries]
+    w_re, w_im, lift = _lifted(entries, "the shifts")
     # with no generators, one that every shift kills stands for the zero function
     actions = [[[] for _ in range(dim)] or [[]] for _ in range(pres.p * pres.q)]
     for e, (a, b) in enumerate(zip(w_re, w_im)):
         if a or b:
             actions[e // (dim * dim)][e % dim].append((e // dim % dim, a, b))
-    return actions, lift
+    norms = [sum(abs(a) + abs(b) for _, a, b in c) for cols in actions for c in cols]
+    return actions, lift, max(lift, *norms).bit_length()
+
+
+def _init_level(pres: Presentation) -> tuple[list, int, int]:
+    """Level 0, each generator's init value as one-element (re, im) lists over
+    their common denominator; that scale; and its or the largest part's bits."""
+    re, im, scale = _lifted(pres.init, "the initial values")
+    level = [([x], [y]) for x, y in zip(re, im)] or [([0], [0])]
+    return level, scale, max([scale, *map(abs, re + im)]).bit_length()
 
 
 def unfold_levels(pres: Presentation, depth: int):
     """Yield unfold(pres, n) for n = 0..depth from one pass over the levels.
 
     Level n holds the real and the imaginary parts of each generator at
-    every cell, row-major, as ints over one scale L0 * L^n (L0, L: the lcm
-    of the denominators of init and of the shifts). Shift (s, t) maps whole
-    lists by int combinations to the (s, t) block of level n + 1; the last
-    level takes column 0 of each shift alone. Only yields build scalars.
+    every cell, row-major, as ints over one scale: the lcm of the
+    denominators of init, times L, the lcm of those of the shifts, a level.
+    Shift (s, t) maps whole lists by int combinations to the (s, t) block of
+    level n + 1; the last level takes column 0 of each shift alone. Only
+    yields build scalars. As in `evaluate`, the content of a level whose
+    bound passes MAX_ORBIT_BITS is divided out, and one that still passes it
+    raises ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     q = pres.q
-    actions, lift = _int_actions(pres)
-    re, im, scale = to_parts(pres.init)
-    level = [([x], [y]) for x, y in zip(re, im)] or [([0], [0])]
+    actions, lift, growth = _int_actions(pres)
+    level, scale, bits = _init_level(pres)
     pr, qc = 1, 1
     for n in range(depth):
         yield DenseMatrix(pr, qc, from_parts(*level[0], scale))
@@ -377,7 +436,9 @@ def unfold_levels(pres: Presentation, depth: int):
             _row_major([_combine(cols[j], level) for cols in actions], q, qc)
             for j in range(len(actions[0]))
         ]
-        pr, qc, scale = pr * pres.p, qc * q, scale * lift
+        pr, qc = pr * pres.p, qc * q
+        what = f"the level at depth {n + 1}"
+        level, scale, bits = _bounded(level, scale * lift, bits + growth, what)
     yield DenseMatrix(pr, qc, from_parts(*level[0], scale))
 
 
@@ -556,8 +617,8 @@ def rec_convolution(pa: Presentation, pb: Presentation) -> Presentation:
 
 def _orbit_span(seed, actions) -> SpanBasis:
     """Span of seed and of its images under every word over the actions:
-    the reachable span takes the columns of the transposed shifts, the
-    observation span (the orbit of the init row) those of the shifts.
+    the reachable span takes the rows of the shifts, the observation span
+    (the orbit of the init row) those of their transposes.
     Raises ValueError past MAX_ORBIT_BITS or MAX_ORBIT_SIZE."""
     span = SpanBasis(len(seed))
     first = span.add(seed)
@@ -565,8 +626,7 @@ def _orbit_span(seed, actions) -> SpanBasis:
     while work:
         vec = work.pop()
         largest = max(abs(z) for x in vec for z in x.integer_parts())
-        _check_bits(largest, "an orbit vector")
-        bits = largest.bit_length()
+        bits = _check_bits(largest, "an orbit vector")
         if bits * len(vec) > MAX_ORBIT_SIZE:
             raise ValueError(
                 f"an orbit vector of length {len(vec)} has an entry of {bits} bits:"
@@ -589,13 +649,14 @@ def minimize(pres: Presentation) -> Presentation:
     """
     if pres.dim == 0:
         return zero_presentation(pres.p, pres.q)
-    mats = pres.shift_items()
-    forward = [_columns(mat.transpose()) for _, mat in mats]
+    mats = [(key, mat.to_lists()) for key, mat in pres.shift_items()]
+    forward = [_sparse_rows(rows) for _, rows in mats]
     # the orbit's first stored vector is its seed e0, the only one of pivot 0
     fwd = _orbit_span([ONE] + [ZERO] * (pres.dim - 1), forward).vectors()
-    obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats]).vectors()
-    # v times the transpose of a matrix of rows pairs v with each of its rows
-    pair_obs = _columns(DenseMatrix.from_rows(obs).transpose())
+    backward = [_sparse_rows(zip(*rows)) for _, rows in mats]
+    obs = _orbit_span(list(pres.init), backward).vectors()
+    # the rows of obs times v pair v with each observation
+    pair_obs = _sparse_rows(obs)
     kept = SpanBasis(len(obs))
     chosen, columns = [], []
     for cand in fwd:
@@ -609,17 +670,17 @@ def minimize(pres: Presentation) -> Presentation:
     # columns are independent and span every image column, so the unique
     # RREF of [pairings | image pairings] is [I | x] over zero rows
     images = [_apply_action(action, u) for action in forward for u in chosen]
-    pair_images = _columns(DenseMatrix.from_rows(images).transpose())
+    pair_images = _sparse_rows(images)
     rows = [[*r, *_apply_action(pair_images, o)] for o, r in zip(obs, zip(*columns))]
     reduced, _, pivots = rref(DenseMatrix.from_rows(rows))
     if pivots != tuple(range(m)):
         raise AssertionError("pairing block is not invertible")
-    new_shifts = {}
-    for n, (key, _) in enumerate(mats):
-        entries = [reduced[k, m * (n + 1) + j] for k in range(m) for j in range(m)]
-        new_shifts[key] = DenseMatrix(m, m, entries)
-    pair_init = _columns(DenseMatrix(pres.dim, 1, pres.init))
-    new_init = [_apply_action(pair_init, u)[0] for u in chosen]
+    solved = [reduced.row_list(k) for k in range(m)]
+    new_shifts = {
+        key: DenseMatrix(m, m, [x for row in solved for x in row[m * n : m * (n + 1)]])
+        for n, (key, _) in enumerate(mats, 1)
+    }
+    new_init = _apply_action(_sparse_rows(chosen), pres.init)
     labels = [f"m{k}" for k in range(m)]
     return Presentation(pres.p, pres.q, new_init, new_shifts, labels)
 
@@ -636,7 +697,8 @@ def same_function(pa: Presentation, pb: Presentation) -> bool:
     if pa.p != pb.p or pa.q != pb.q:
         return False
     diff = rec_sum(pa, rec_scale(-1, pb))
-    obs = _orbit_span(list(diff.init), [_columns(m) for _, m in diff.shift_items()])
+    backward = [_sparse_rows(zip(*m.to_lists())) for _, m in diff.shift_items()]
+    obs = _orbit_span(list(diff.init), backward)
     return 0 not in obs.pivots
 
 

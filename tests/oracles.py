@@ -37,7 +37,7 @@ from recqi import (
     zero_presentation,
 )
 from recqi.linalg import _as_int_pairs, _div, _divide_powers, _mul
-from recqi.recmat import _apply_action, _columns, _orbit_span
+from recqi.recmat import _apply_action, _orbit_span, _sparse_rows
 
 UNIT_POOL = (
     ZERO,
@@ -528,10 +528,11 @@ def minimize_by_completion(pres: Presentation) -> Presentation:
     if d == 0:
         return zero_presentation(pres.p, pres.q)
     mats = pres.shift_items()
-    forward = [_columns(mat.transpose()) for _, mat in mats]
+    forward = [_sparse_rows(mat.to_lists()) for _, mat in mats]
     e0 = [ONE] + [ZERO] * (d - 1)
     fwd = _orbit_span(e0, forward).vectors()
-    obs = _orbit_span(list(pres.init), [_columns(mat) for _, mat in mats])
+    backward = [_sparse_rows(zip(*mat.to_lists())) for _, mat in mats]
+    obs = _orbit_span(list(pres.init), backward)
     # N = vectors of the forward span annihilated by every observation row
     ov = [_dot(o, v) for o in obs.vectors() for v in fwd]
     null_coords = kernel_basis(DenseMatrix(obs.dim, len(fwd), ov))

@@ -341,6 +341,148 @@ def test_eval_refuses_vector_parts_past_the_cap(capsys, tmp_path):
     )
 
 
+def big_odd(rng, bits):
+    """A random odd int of exactly `bits` bits."""
+    return rng.getrandbits(bits) | 1 << (bits - 1) | 1
+
+
+def test_unfold_refuses_levels_past_the_cap(capsys, tmp_path):
+    # p = q = 2, dim 2, every shift entry 1/d with a distinct 3,000-bit d:
+    # depths 2-5 ran 0.3-84 s, then hit CPython's 4300-digit limit on
+    # int-to-str, and depth 6 ran for minutes
+    rng = random.Random(11)
+    shifts = {
+        (s, t): DenseMatrix(2, 2, [Fraction(1, big_odd(rng, 3000)) for _ in range(4)])
+        for s in range(2)
+        for t in range(2)
+    }
+    path = tmp_path / "recip.json"
+    path.write_text(Presentation(2, 2, [1, 1], shifts).to_json_text())
+    for depth in ("1", "6"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "recmat", "unfold", str(path), "--depth", depth)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            r"error: the level at depth 1 has an entry of \d+ bits,"
+            r" more than the cap of 4096\n",
+            err,
+        )
+
+
+def test_unfold_divides_the_content_of_its_levels(capsys, tmp_path):
+    # shifts that square to the identity: generator 0 is 1 at even lengths
+    # and 2^-460 at odd ones, but the lcm of the shift denominators is 2^460,
+    # so without the content divided out depth 9 reaches a 4140-bit scale
+    d = 2**460
+    swap = DenseMatrix(2, 2, [0, d, Fraction(1, d), 0])
+    pres = Presentation(2, 2, [1, 1], {(s, t): swap for s in range(2) for t in range(2)})
+    path = tmp_path / "swap.json"
+    path.write_text(pres.to_json_text())
+    code, out, err = run_cli(capsys, "recmat", "unfold", str(path), "--depth", "9")
+    assert (code, err) == (0, "")
+    assert out == (",".join([f"1/{d}"] * 512) + "\n") * 512
+    code, out, err = run_cli(capsys, "recmat", "unfold", str(path), "--depth", "8")
+    assert (code, out, err) == (0, (",".join(["1"] * 256) + "\n") * 256, "")
+
+
+def test_eval_and_unfold_refuse_lifts_past_the_cap(capsys, tmp_path):
+    # dim 64, every entry 1, eight diagonal entries 1/d with distinct
+    # 13,000-bit d: every entry scaled by their lcm peaked at 70 MB
+    rng = random.Random(12)
+    entries = [1] * 64 * 64
+    for k in range(8):
+        entries[k * 65] = Fraction(1, big_odd(rng, 13000))
+    pres = Presentation(1, 1, [1] * 64, {(0, 0): DenseMatrix(64, 64, entries)})
+    path = tmp_path / "lift.json"
+    path.write_text(pres.to_json_text())
+    # the lcm is refused at its first denominator of 13,000 bits
+    message = (
+        "error: the shifts have 4096 nonzero entries over a common denominator"
+        " of at least 13000 bits: 4096 x 13000 is more than the cap of 4194304\n"
+    )
+    for argv in (("eval", str(path), "0", "0"), ("unfold", str(path), "--depth", "1")):
+        start = time.perf_counter()
+        assert run_cli(capsys, "recmat", *argv) == (2, "", message)
+        assert time.perf_counter() - start < 1
+    # the same cap on the initial values, which `evaluate` scales as well
+    init = [Fraction(1, big_odd(rng, 13000)) for _ in range(8)] + [1] * 320
+    pres = Presentation(1, 1, init, {(0, 0): DenseMatrix.identity(328)})
+    with pytest.raises(ValueError, match="^the initial values have 328 nonzero"):
+        evaluate(pres, WordPair(1, 1, [0], [0]))
+
+
+def test_eval_refuses_words_past_the_term_cap(capsys, tmp_path):
+    # p = q = 1, dense dim 256, every entry 1/256: M^2 = M and every value is
+    # 1, but each letter costs 65,536 products, about 0.1 s
+    avg = DenseMatrix(256, 256, [Fraction(1, 256)] * 256**2)
+    path = tmp_path / "avg.json"
+    path.write_text(Presentation(1, 1, [1] * 256, {(0, 0): avg}).to_json_text())
+    assert run_cli(capsys, "recmat", "eval", str(path), "00", "00") == (0, "1\n", "")
+    word = "0" * 16
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "recmat", "eval", str(path), word, word)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a word of 16 letters on shifts of up to 65792 terms:"
+        " 16 x 65792 is more than the cap of 1048576\n"
+    )
+    # a large common denominator L weighs every term: two 2-cycles d, 1/d and
+    # e, 1/e, with 2000- and 3000-bit d and e, keep generator 0 at 1 and 1/d,
+    # but L = d * e has 5000 bits, so 4 entries and 4 generators weigh
+    # (5000 + 4096)^2 // 4096^2 = 4 times
+    rng = random.Random(13)
+    d, e = big_odd(rng, 2000), big_odd(rng, 3000)
+    entries = [0, d, 0, 0, Fraction(1, d), 0, 0, 0]
+    entries += [0, 0, 0, e, 0, 0, Fraction(1, e), 0]
+    pres = Presentation(1, 1, [1, 1, 0, 0], {(0, 0): DenseMatrix(4, 4, entries)})
+    assert evaluate(pres, WordPair(1, 1, [0] * 2, [0] * 2)) == 1
+    with pytest.raises(ValueError, match="^a word of 32769 letters on shifts of up to 32 "):
+        evaluate(pres, WordPair(1, 1, [0] * 32769, [0] * 32769))
+
+
+def test_eval_term_cap_admits_long_words(capsys, tmp_path):
+    # the longest admitted builtin:U word, and a cyclic permutation of dim 256
+    # (256 entries and 256 generators: 2048 letters) at the cap
+    word = "1" * (recmat.MAX_EVAL_TERMS // 42)
+    assert run_cli(capsys, "recmat", "eval", "builtin:U", word, word) == (0, "1-1i\n", "")
+    word += "1"
+    assert run_cli(capsys, "recmat", "eval", "builtin:U", word, word) == (
+        2,
+        "",
+        "error: a word of 24967 letters on shifts of up to 42 terms:"
+        " 24967 x 42 is more than the cap of 1048576\n",
+    )
+    dim = 256
+    shift = [int(r == (c + 1) % dim) for r in range(dim) for c in range(dim)]
+    pres = Presentation(1, 1, [1] + [0] * (dim - 1), {(0, 0): DenseMatrix(dim, dim, shift)})
+    path = tmp_path / "cycle.json"
+    path.write_text(pres.to_json_text())
+    for n, value in ((2048, "1\n"), (2047, "0\n")):
+        assert run_cli(capsys, "recmat", "eval", str(path), "0" * n, "0" * n) == (0, value, "")
+    assert run_cli(capsys, "recmat", "eval", str(path), "0" * 2049, "0" * 2049) == (
+        2,
+        "",
+        "error: a word of 2049 letters on shifts of up to 512 terms:"
+        " 2049 x 512 is more than the cap of 1048576\n",
+    )
+
+
+def test_values_past_the_digit_cap_are_refused_with_a_position(capsys, tmp_path):
+    pres = json.loads(builtin("H").to_json_text())
+    pres["shifts"]["1,0"][1][0] = "3/" + "7" * 5000
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(pres))
+    for argv in (
+        ("eval", str(path), "1", "0"),
+        ("unfold", str(path), "--depth", "1"),
+        ("minimize", str(path)),
+    ):
+        code, out, err = run_cli(capsys, "recmat", *argv)
+        assert (code, out, err) == (2, "", "error: more than 4300 digits (position 2)\n")
+
+
 def test_unfold_csv_and_json(capsys):
     code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:H", "--depth", "1")
     assert code == 0

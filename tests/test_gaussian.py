@@ -190,12 +190,23 @@ def test_parse_examples():
         ("1+\u0662i", 2),
         ("\u00b2", 0),
         ("1/\u00b2", 2),
+        # a digit run past CPython's 4300-digit conversion limit, placed
+        ("1" * 4301, 0),
+        ("-1/" + "3" * 4301, 3),
+        ("1+" + "7" * 4301 + "i", 2),
     ],
 )
 def test_parse_errors(text, position):
     with pytest.raises(ParseError) as info:
         parse_gaussian(text)
     assert info.value.position == position
+
+
+def test_digit_runs_up_to_the_cap_parse():
+    assert parse_gaussian("9" * 4300) == 10**4300 - 1
+    assert parse_gaussian("1/" + "9" * 4300 + "-1i").im == -1
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        parse_gaussian("9" * 4301)
 
 
 def test_roundtrip_random():

@@ -312,7 +312,7 @@ def test_sums_start_at_their_first_product(monkeypatch):
     # columns with one, three and no nonzero terms: 0 + 2 + 0 additions
     m = DenseMatrix.from_rows([[1, 2, 0], [0, I, 0], [0, 3, 0]])
     vec = [ONE, I, GaussianRational(5)]
-    out = recmat._apply_action(recmat._columns(m), vec)
+    out = recmat._apply_action(recmat._sparse_rows(zip(*m.to_lists())), vec)
     assert out == [ONE, GaussianRational(16), ZERO]
     assert len(adds) == 2
     # each shift of ones . ones is 1 * 1 + 1 * 1: one addition per letter pair
@@ -324,7 +324,9 @@ def test_sums_start_at_their_first_product(monkeypatch):
     # addition, none are ZERO
     adds.clear()
     m = DenseMatrix.from_rows([[1, 0], [I, 0], [7, 5]])
-    out = recmat._apply_action(recmat._columns(m), [I, GaussianRational(3), ZERO])
+    out = recmat._apply_action(
+        recmat._sparse_rows(zip(*m.to_lists())), [I, GaussianRational(3), ZERO]
+    )
     assert out == [4 * I, ZERO] and out[1] is ZERO
     assert len(adds) == 1
 
@@ -439,7 +441,7 @@ def test_same_function_agrees_with_minimize():
 def observation_kernel(pres):
     """Vectors x with (init row) . (any shift word) . x = 0, from the
     observation orbit that ``minimize`` computes."""
-    actions = [recmat._columns(m) for _, m in pres.shift_items()]
+    actions = [recmat._sparse_rows(zip(*m.to_lists())) for _, m in pres.shift_items()]
     obs = recmat._orbit_span(list(pres.init), actions)
     rows = [x for vec in obs.vectors() for x in vec]
     return kernel_basis(DenseMatrix(obs.dim, pres.dim, rows))
