@@ -53,15 +53,17 @@ MAX_JSON_BYTES = 2**22
 
 
 def _int_flag(text: str) -> int:
-    """An optional "-", then ASCII digits, as numbers in values and words;
-    type=int would also take "+", "_", spaces and other Unicode digits."""
+    """An optional "-", then at most MAX_DIGITS ASCII digits, as numbers in
+    values and words; type=int would also take "+", "_", spaces and other
+    Unicode digits."""
+    from .gaussian import MAX_DIGITS
+
     digits = text.removeprefix("-")
-    try:
-        if digits.isascii() and digits.isdigit():
-            return int(text)
-    except ValueError:  # more digits than CPython converts to an int
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if len(digits) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -291,7 +293,8 @@ def cmd_recmat_binary(args) -> int:
     left = _load_presentation(args.left)
     right = _load_presentation(args.right)
     a, b = left.dim, right.dim
-    dim = {"sum": a + b, "convolve": a * b + a}.get(args.op, a * b)
+    # a convolution with the zero function is the zero function, of dim 0
+    dim = {"sum": a + b, "convolve": a * b + a if b else 0}.get(args.op, a * b)
     if dim > MAX_RESULT_DIM:
         raise ValueError(
             f"{args.op} of dims {a} and {b} has dim {dim},"
@@ -365,19 +368,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_int_flag, required=True)
     p.set_defaults(func=lambda a: jfraction_report(a.count).emit())
 
-    p = sub.add_parser("beta-hankel", help="first-difference Hankel determinant table")
-    p.add_argument("--max-order", type=_int_flag, required=True, dest="max_order")
-    p.add_argument("--offset", type=_int_flag, default=1)
-    p.set_defaults(
-        func=lambda a: unit_det_report("beta", a.max_order, a.offset).emit()
-    )
-
-    p = sub.add_parser("gamma-hankel", help="two-step difference Hankel determinants")
-    p.add_argument("--max-order", type=_int_flag, required=True, dest="max_order")
-    p.add_argument("--offset", type=_int_flag, default=2)
-    p.set_defaults(
-        func=lambda a: unit_det_report("gamma", a.max_order, a.offset).emit()
-    )
+    for series, offset, help_text in (
+        ("beta", 1, "first-difference Hankel determinant table"),
+        ("gamma", 2, "two-step difference Hankel determinants"),
+    ):
+        p = sub.add_parser(f"{series}-hankel", help=help_text)
+        p.add_argument("--max-order", type=_int_flag, required=True, dest="max_order")
+        p.add_argument("--offset", type=_int_flag, default=offset)
+        p.set_defaults(
+            func=lambda a, s=series: unit_det_report(s, a.max_order, a.offset).emit()
+        )
 
     p = sub.add_parser(
         "conjecture-check",

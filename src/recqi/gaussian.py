@@ -254,6 +254,18 @@ def format_gaussian(value: GaussianRational) -> str:
 #: longest digit run a value takes: CPython's default int-conversion limit
 #: from 3.11 on, which 3.10, with no limit, keeps here too
 MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+
+
+def check_digits(values, what: str) -> None:
+    """Raises ValueError when format_gaussian would spell one of values with
+    a run of more than MAX_DIGITS digits, which parse_gaussian refuses."""
+    b = _DIGITS_BOUND
+    for x in [x for x in values if abs(x._a) >= b or abs(x._b) >= b or x._d >= b]:
+        # each part prints as its reduced ratio
+        for n in (x._a, x._b):
+            if max(abs(n), x._d) // math.gcd(n, x._d) >= b:
+                raise ValueError(f"{what} has a value of more than {MAX_DIGITS} digits")
 
 
 def _scan_digits(s: str, start: int, expected: str) -> tuple[int, int]:

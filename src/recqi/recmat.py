@@ -22,14 +22,17 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 
 from .errors import ParseError
 from .gaussian import (
+    MAX_DIGITS,
     ZERO,
     ONE,
     I,
     GaussianRational,
     as_gaussian,
+    check_digits,
     format_gaussian,
     from_parts,
     parse_gaussian,
@@ -177,6 +180,8 @@ class Presentation:
     # -- JSON interchange ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        entries = chain(self._init, *(m.entries for m in self._shifts.values()))
+        check_digits(entries, "the presentation")
         return {
             "p": self._p,
             "q": self._q,
@@ -214,6 +219,8 @@ class Presentation:
             raise ParseError("labels must be a list of strings")
         if not isinstance(init, list) or len(init) != dim:
             raise ParseError("init must list one value per generator")
+        if not all(isinstance(x, str) for x in init):
+            raise ParseError("init entries must be strings")
         if len(labels) != dim:
             raise ParseError("labels must list one name per generator")
         shifts_raw = data["shifts"]
@@ -223,7 +230,7 @@ class Presentation:
         for key, rows in shifts_raw.items():
             if not _SHIFT_KEY.fullmatch(key):
                 raise ParseError(f"bad shift key {key!r}")
-            s, t = map(int, key.split(","))
+            s, t = (_int_of_digits(x, "a shift key letter") for x in key.split(","))
             if (s, t) in shifts:
                 raise ParseError(f"shift key {key!r} repeats letter pair {s},{t}")
             if not isinstance(rows, list) or len(rows) != dim:
@@ -248,14 +255,27 @@ class Presentation:
     def from_json_text(cls, text: str) -> "Presentation":
         import json
 
+        def json_int(digits):
+            return _int_of_digits(digits, "a JSON integer")
+
         try:
-            data = json.loads(text, object_pairs_hook=_unique_keys)
+            data = json.loads(text, object_pairs_hook=_unique_keys, parse_int=json_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("JSON nested too deeply to read") from None
         return cls.from_json_dict(data)
 
 
 _SHIFT_KEY = re.compile(r"[0-9]+,[0-9]+")
+
+
+def _int_of_digits(text: str, what: str) -> int:
+    """int(text) of an optional "-" and ASCII digits; ParseError past
+    MAX_DIGITS digits, which CPython from 3.11 on refuses to convert."""
+    if len(text.removeprefix("-")) > MAX_DIGITS:
+        raise ParseError(f"{what} has more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 def _unique_keys(pairs) -> dict:
@@ -298,6 +318,11 @@ def _apply_action(rows, vec):
 # amount per letter in `evaluate`; the cap keeps every value far below
 # CPython's 4300-digit limit on int-to-str
 MAX_ORBIT_BITS = 2**12
+# cap on cells x generators x bits of a level `unfold_levels` builds, about
+# 48 MB of parts: builtins stay under 2^23 at the CLI's depth caps, shifts
+# [[0, d], [1/d, 0]] under 2^28 at depth 9 with a 460-bit d; a 2,040-bit d
+# reaches 2^29 at depth 8 (the CLI held 64 MB) and 2^30 at 9 (350 MB)
+MAX_UNFOLD_BITS = 3 * 2**27
 # cap on the largest part's bits times the length of a vector in a `minimize`
 # orbit, which each reduction against the span costs together: sparse random
 # files of dim 60 reach 566 bits, builtin compositions at most 224 bits x 52
@@ -329,11 +354,17 @@ def _bounded(level, scale: int, bits: int, what: str) -> tuple[list, int, int]:
     the bits are measured: ValueError when they still pass the cap."""
     if bits <= MAX_ORBIT_BITS:
         return level, scale, bits
+    level, scale, largest = _divided(level, scale)
+    return level, scale, _check_bits(largest, what)
+
+
+def _divided(level, scale) -> tuple[list, int, int]:
+    """A level of (re, im) int lists over scale with the content of the parts
+    and the scale divided out; the new scale; and the largest part or scale."""
     parts = [z for x_re, x_im in level for z in x_re + x_im]
     g = math.gcd(scale, *parts)
     level = [([x // g for x in x_re], [y // g for y in x_im]) for x_re, x_im in level]
-    scale //= g
-    return level, scale, _check_bits(max(scale, max(map(abs, parts)) // g), what)
+    return level, scale // g, max(scale, max(map(abs, parts))) // g
 
 
 def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
@@ -344,8 +375,6 @@ def evaluate(pres: Presentation, pair: WordPair) -> GaussianRational:
     has a part of more than MAX_ORBIT_BITS bits."""
     if pair.p != pres.p or pair.q != pres.q:
         raise ValueError("word pair alphabets do not match the presentation")
-    if pres.dim == 0:
-        return ZERO
     actions, lift, growth = _int_actions(pres)
     # a letter combines each generator from the nonzero entries of its shift,
     # times L, and parts of up to MAX_ORBIT_BITS bits, then may take the gcd of
@@ -420,7 +449,8 @@ def unfold_levels(pres: Presentation, depth: int):
     level n + 1; the last level takes column 0 of each shift alone. Only
     yields build scalars. As in `evaluate`, the content of a level whose
     bound passes MAX_ORBIT_BITS is divided out, and one that still passes it
-    raises ValueError.
+    raises ValueError; so does a level whose cells times generators times
+    bound passes MAX_UNFOLD_BITS, before it is built.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -432,14 +462,32 @@ def unfold_levels(pres: Presentation, depth: int):
         yield DenseMatrix(pr, qc, from_parts(*level[0], scale))
         if n == depth - 1:
             actions = [cols[:1] for cols in actions]
+        gens, cells = len(actions[0]), pr * qc * pres.p * q
+        what = f"the level at depth {n + 1}"
+        level, scale, bits = _sized(level, scale, bits, growth, cells, gens, what)
         level = [
             _row_major([_combine(cols[j], level) for cols in actions], q, qc)
-            for j in range(len(actions[0]))
+            for j in range(gens)
         ]
         pr, qc = pr * pres.p, qc * q
-        what = f"the level at depth {n + 1}"
         level, scale, bits = _bounded(level, scale * lift, bits + growth, what)
     yield DenseMatrix(pr, qc, from_parts(*level[0], scale))
+
+
+def _sized(level, scale, bits, growth, cells, gens, what) -> tuple[list, int, int]:
+    """A level as `_bounded` returns it, checked before the next level of
+    cells x gens values grows from it by growth bits. Past MAX_UNFOLD_BITS by
+    the running bound, which may be loose, its content is divided out and its
+    bits are measured: ValueError when the next level still passes the cap."""
+    if cells * gens * (bits + growth) > MAX_UNFOLD_BITS:
+        level, scale, largest = _divided(level, scale)
+        bits = largest.bit_length()
+        if cells * gens * (bits + growth) > MAX_UNFOLD_BITS:
+            raise ValueError(
+                f"{what}: {cells} cells x {gens} generators x {bits + growth} bits"
+                f" is more than the cap of {MAX_UNFOLD_BITS}"
+            )
+    return level, scale, bits
 
 
 def _combine(col, level) -> tuple[list, list]:
@@ -647,12 +695,11 @@ def minimize(pres: Presentation) -> Presentation:
     modulo what no observation sees. One `rref` of the pairings of every
     observation with them and with their images gives every induced shift.
     """
-    if pres.dim == 0:
-        return zero_presentation(pres.p, pres.q)
     mats = [(key, mat.to_lists()) for key, mat in pres.shift_items()]
     forward = [_sparse_rows(rows) for _, rows in mats]
     # the orbit's first stored vector is its seed e0, the only one of pivot 0
-    fwd = _orbit_span([ONE] + [ZERO] * (pres.dim - 1), forward).vectors()
+    e0 = [ONE if k == 0 else ZERO for k in range(pres.dim)]
+    fwd = _orbit_span(e0, forward).vectors()
     backward = [_sparse_rows(zip(*rows)) for _, rows in mats]
     obs = _orbit_span(list(pres.init), backward).vectors()
     # the rows of obs times v pair v with each observation
@@ -784,16 +831,15 @@ _BUILTIN_FACTORIES = {
     "ones": lambda: _builtin_one_state("J0", [[1, 1], [1, 1]]),
     "zero": zero_presentation,
     "diag1plusn": _builtin_diag_one_plus_n,
+    "U": lambda: rec_product(_builtin_diag(), rec_transpose(_builtin_lower())),
 }
 
 
 def builtin(name: str) -> Presentation:
     """Named example presentations; "U" is the diagonal times transposed lower."""
-    if name == "U":
-        return rec_product(_builtin_diag(), rec_transpose(_builtin_lower()))
     try:
         factory = _BUILTIN_FACTORIES[name]
     except KeyError:
-        known = sorted([*_BUILTIN_FACTORIES, "U"])
+        known = sorted(_BUILTIN_FACTORIES)
         raise ValueError(f"unknown builtin {name!r}; known: {', '.join(known)}") from None
     return factory()

@@ -386,6 +386,39 @@ def test_unfold_divides_the_content_of_its_levels(capsys, tmp_path):
     assert (code, out, err) == (0, (",".join(["1"] * 256) + "\n") * 256, "")
 
 
+def test_unfold_refuses_levels_past_the_size_cap(capsys, tmp_path):
+    # the file above with a 2,040-bit d: depth 9 ran 4.3 s and held 350 MB,
+    # depth 8 held 64 MB; the level below each refusal, measured, holds ints
+    # of up to 4080 bits
+    d = big_odd(random.Random(13), 2040)
+    swap = DenseMatrix(2, 2, [0, d, Fraction(1, d), 0])
+    pres = Presentation(2, 2, [1, 1], {(s, t): swap for s in range(2) for t in range(2)})
+    path = tmp_path / "swap.json"
+    path.write_text(pres.to_json_text())
+    for depth, gens in (("9", 2), ("8", 1)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "recmat", "unfold", str(path), "--depth", depth)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            rf"error: the level at depth 8: 65536 cells x {gens} generators x 81\d\d bits"
+            rf" is more than the cap of {recmat.MAX_UNFOLD_BITS}\n",
+            err,
+        )
+    code, out, err = run_cli(capsys, "recmat", "unfold", str(path), "--depth", "7")
+    assert (code, err) == (0, "")
+    assert out == (",".join([f"1/{d}"] * 128) + "\n") * 128
+
+
+def test_every_builtin_unfolds_to_the_depth_caps():
+    # the deepest level the cell and value caps admit: U to 8, the others to 9
+    for name in ("D", "E", "H", "I", "L", "U", "diag1plusn", "ones", "zero"):
+        pres = builtin(name)
+        depth = 9 if 4**9 * max(pres.dim, 1) <= cli.MAX_UNFOLD_VALUES else 8
+        assert depth == (8 if name == "U" else 9)
+        assert recmat.unfold(pres, depth).rows == 2**depth
+
+
 def test_eval_and_unfold_refuse_lifts_past_the_cap(capsys, tmp_path):
     # dim 64, every entry 1, eight diagonal entries 1/d with distinct
     # 13,000-bit d: every entry scaled by their lcm peaked at 70 MB
@@ -481,6 +514,60 @@ def test_values_past_the_digit_cap_are_refused_with_a_position(capsys, tmp_path)
     ):
         code, out, err = run_cli(capsys, "recmat", *argv)
         assert (code, out, err) == (2, "", "error: more than 4300 digits (position 2)\n")
+
+
+def reader_refusals(tmp_path):
+    """(path, message) of presentation files the reader refuses."""
+    text = builtin("H").to_json_text()
+    big = "9" * 5000
+    cases = {
+        "p.json": (text.replace('"p": 2', f'"p": {big}'), "a JSON integer has"),
+        "key.json": (text.replace('"0,1"', f'"0,{big}"'), "a shift key letter has"),
+    }
+    for name, (changed, subject) in cases.items():
+        (tmp_path / name).write_text(changed)
+        yield str(tmp_path / name), f"{subject} more than 4300 digits"
+    (tmp_path / "deep.json").write_text("[" * 200_000)
+    yield str(tmp_path / "deep.json"), "JSON nested too deeply to read"
+    for init in ([1, "1i"], ["1", None]):
+        data = {**json.loads(text), "init": init}
+        (tmp_path / "init.json").write_text(json.dumps(data))
+        yield str(tmp_path / "init.json"), "init entries must be strings"
+
+
+def test_reader_refusals_exit_two_at_once(capsys, tmp_path):
+    # each once ended in a traceback, exit 1, or in CPython's message on its
+    # 4300-digit limit for int conversion
+    for path, message in reader_refusals(tmp_path):
+        for argv in (
+            ("eval", path, "1", "0"),
+            ("unfold", path, "--depth", "1"),
+            ("minimize", path),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "recmat", *argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("op", ["product", "hadamard"])
+def test_results_past_the_digit_cap_are_not_written(capsys, tmp_path, op):
+    # p = q = 1, dim 1, one shift entry of 4000 digits: its square has 8000
+    big = "7" * 4000
+    data = {"p": 1, "q": 1, "dim": 1, "labels": ["g0"], "init": ["1"]}
+    data["shifts"] = {"0,0": [[big]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    target = tmp_path / "out.json"
+    start = time.perf_counter()
+    argv = ("recmat", op, str(path), str(path), "-o", str(target))
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: the presentation has a value of more than 4300 digits\n"
+    assert not target.exists()
+    code, out, err = run_cli(capsys, "recmat", "transpose", str(path))
+    assert (code, json.loads(out)["shifts"], err) == (0, {"0,0": [[big]]}, "")
 
 
 def test_unfold_csv_and_json(capsys):
@@ -705,6 +792,27 @@ def test_integer_flags_take_ascii_digits_only(capsys, builds, text):
     assert builds == []
 
 
+def test_integer_flags_take_at_most_the_digits_of_a_value(capsys, builds):
+    # CPython from 3.11 on refuses to convert 4301 digits and 3.10 converts
+    # them; the flags refuse them on both
+    for command in INTEGER_FLAGS:
+        flag = command.split()[-1]
+        with pytest.raises(SystemExit) as info:
+            main([*command.split(), "9" * 4301])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: more than 4300 digits\n")
+        # 4300 digits pass the reader; every flag but the seed has a bound
+        if flag == "--seed":
+            with pytest.raises(TableBuilt):
+                run_cli(capsys, *command.split(), "9" * 4300)
+            continue
+        code, out, err = run_cli(capsys, *command.split(), "9" * 4300)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} ") and "digits" not in err
+    assert len(builds) == 1
+
+
 def test_a_negative_seed_still_runs(capsys):
     code, out, err = run_cli(capsys, "conjecture-check", "--trials", "1", "--seed=-5")
     assert (code, err) == (0, "1/1 rows match\n")
@@ -739,7 +847,15 @@ def test_result_dim_cap_refuses_one_past_the_bound(
 
 @pytest.mark.parametrize(
     "op, a, b",
-    [("sum", 128, 128), ("convolve", 1, 255), ("product", 16, 16), ("hadamard", 16, 16)],
+    [
+        ("sum", 128, 128),
+        ("convolve", 1, 255),
+        # a convolution with the zero function is the zero function, of dim 0;
+        # the cap once counted 257 x 0 + 257 generators
+        ("convolve", 257, 0),
+        ("product", 16, 16),
+        ("hadamard", 16, 16),
+    ],
 )
 def test_result_dim_cap_admits_the_bound(tmp_path, capsys, monkeypatch, op, a, b):
     built = []

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -177,6 +178,7 @@ def test_evaluate_simple_fixtures():
     assert evaluate(IDENT, pair_of("01", "00")) == ZERO
     assert evaluate(ONES, pair_of("01", "00")) == ONE
     assert evaluate(zero_presentation(), pair_of("01", "00")) == ZERO
+    assert evaluate(zero_presentation(), pair_of("", "")) == ZERO
     with pytest.raises(ValueError):
         evaluate(H, WordPair(3, 3, (2,), (2,)))
 
@@ -359,7 +361,9 @@ def test_minimize_preserves_function_and_shrinks():
 
 
 def test_minimize_fixtures():
-    assert minimize(zero_presentation()).dim == 0
+    for p, q in ((2, 2), (1, 1), (1, 3)):
+        zero = zero_presentation(p, q)
+        assert minimize(zero).to_json_text() == zero.to_json_text()
     assert minimize(DELTA).dim == 1
     assert minimize(H).dim == 2
     assert complexity(rec_scale(0, H)) == 0
@@ -698,10 +702,57 @@ def test_json_rejects_malformed_input():
             "shift '1,1' entries must be strings",
         ),
         ({"p": 0}, "alphabet sizes must be at least 1"),
+        ({"init": ["1", 1]}, "init entries must be strings"),
+        ({"init": [None, "1i"]}, "init entries must be strings"),
     ]:
         with pytest.raises(ParseError) as info:
             Presentation.from_json_dict({**good, **change})
         assert str(info.value) == message
+
+
+def test_json_reader_refuses_integers_past_the_digit_cap():
+    # CPython from 3.11 on refuses to convert more than 4300 digits, with a
+    # message of its own; 3.10 converts them
+    text = H.to_json_text()
+    big = "9" * 4301
+    for old, new, message in [
+        ('"p": 2', f'"p": {big}', "a JSON integer has more than 4300 digits"),
+        ('"0,1"', f'"0,{big}"', "a shift key letter has more than 4300 digits"),
+        # a key of 4300 digits reads, and names no letter pair
+        ('"0,1"', f'"0,{big[1:]}"', "shifts must cover exactly the letter pairs"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            Presentation.from_json_text(text.replace(old, new))
+        assert str(info.value) == message
+
+
+def test_json_reader_refuses_deep_nesting_at_once():
+    # 200,000 nested brackets are 400 KB, under the CLI's byte cap
+    for text in ("[" * 200_000, '{"a": ' * 200_000):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            Presentation.from_json_text(text)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == "JSON nested too deeply to read"
+
+
+def test_json_writer_refuses_values_past_the_digit_cap():
+    # the reader refuses a run of more than 4300 digits, so no writer makes one
+    for value in (10**4300, Fraction(1, 10**4300), GaussianRational(1, -(10**4300))):
+        for pres in (
+            Presentation(1, 1, [value], {(0, 0): DenseMatrix(1, 1, [1])}),
+            Presentation(1, 1, [1], {(0, 0): DenseMatrix(1, 1, [value])}),
+        ):
+            with pytest.raises(ValueError) as info:
+                pres.to_json_text()
+            message = "the presentation has a value of more than 4300 digits"
+            assert str(info.value) == message
+    # each part prints as its own reduced ratio, so a common denominator of
+    # 8600 digits still writes and reads back
+    x, y = 10**4299 + 1, 10**4300 - 1
+    value = GaussianRational(Fraction(1, x), Fraction(-y, x + 2))
+    pres = Presentation(1, 1, [value], {(0, 0): DenseMatrix(1, 1, [y])})
+    assert Presentation.from_json_text(pres.to_json_text()) == pres
 
 
 def test_diagonal_length_function():
