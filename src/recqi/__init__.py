@@ -23,8 +23,8 @@ _EXPORTS = {
     " u_formula v_formula",
     "linalg": "DenseMatrix SpanBasis bareiss_leading_minors det_bareiss"
     " det_field mat_mul rref",
-    "recmat": "Presentation WordPair builtin complexity evaluate minimize"
-    " rec_convolution rec_hadamard rec_product rec_scale rec_sum"
+    "recmat": "Presentation WordPair builtin complexity evaluate from_automaton"
+    " minimize rec_convolution rec_hadamard rec_product rec_scale rec_sum"
     " rec_transpose same_function unfold unfold_levels zero_presentation",
     "report": "VerificationReport",
     "thuemorse": "ALL_PLUS SeriesTruncation SignSequence beta_coeffs fold"

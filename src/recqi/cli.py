@@ -277,19 +277,20 @@ def cmd_recmat_unfold(args) -> int:
     return 0
 
 
-# each `recmat` operation names the function of `recqi.recmat` it runs
+# each `recmat` operation names the function of `recqi.recmat` it runs and
+# its help text
 _BINARY_OPS = {
-    "sum": "rec_sum",
-    "product": "rec_product",
-    "hadamard": "rec_hadamard",
-    "convolve": "rec_convolution",
+    "sum": ("rec_sum", "pointwise sum of two presentations"),
+    "product": ("rec_product", "matrix product of two presentations"),
+    "hadamard": ("rec_hadamard", "entrywise product of two presentations"),
+    "convolve": ("rec_convolution", "convolution over splittings"),
 }
 
 
 def cmd_recmat_binary(args) -> int:
     from . import recmat
 
-    op = getattr(recmat, _BINARY_OPS[args.op])
+    op = getattr(recmat, _BINARY_OPS[args.op][0])
     left = _load_presentation(args.left)
     right = _load_presentation(args.right)
     a, b = left.dim, right.dim
@@ -316,15 +317,15 @@ def cmd_recmat_binary(args) -> int:
 
 
 _UNARY_OPS = {
-    "transpose": "rec_transpose",
-    "minimize": "minimize",
+    "transpose": ("rec_transpose", "swap word roles"),
+    "minimize": ("minimize", "smallest presentation of the same function"),
 }
 
 
 def cmd_recmat_unary(args) -> int:
     from . import recmat
 
-    op = getattr(recmat, _UNARY_OPS[args.op])
+    op = getattr(recmat, _UNARY_OPS[args.op][0])
     pres = _load_presentation(args.presentation)
     if args.op == "minimize":
         _check_cap("minimize input dim", pres.dim, MAX_RESULT_DIM)
@@ -409,22 +410,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_recmat_unfold)
 
-    for name, help_text in (
-        ("sum", "pointwise sum of two presentations"),
-        ("product", "matrix product of two presentations"),
-        ("hadamard", "entrywise product of two presentations"),
-        ("convolve", "convolution over splittings"),
-    ):
+    for name, (_, help_text) in _BINARY_OPS.items():
         p = rmsub.add_parser(name, help=help_text)
         p.add_argument("left", help="JSON file or builtin:NAME")
         p.add_argument("right", help="JSON file or builtin:NAME")
         p.add_argument("-o", "--output", default=None)
         p.set_defaults(func=cmd_recmat_binary)
 
-    for name, help_text in (
-        ("transpose", "swap word roles"),
-        ("minimize", "smallest presentation of the same function"),
-    ):
+    for name, (_, help_text) in _UNARY_OPS.items():
         p = rmsub.add_parser(name, help=help_text)
         p.add_argument("presentation", help="JSON file or builtin:NAME")
         p.add_argument("-o", "--output", default=None)

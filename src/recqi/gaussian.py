@@ -4,10 +4,12 @@ Every quantity in this package is a Gaussian rational, stored as three
 arbitrary precision ints (a, b, d) representing (a + b*i)/d over one common
 denominator d > 0, reduced so that gcd(a, b, d) == 1; sums and products of
 Gaussian integers (d == 1) take no gcd. The int kernels of linalg and recmat
-cross to and from scalars through to_parts and from_parts alone. Values are
-immutable, so each small Gaussian integer (both parts within SHARED_BOUND)
-is one shared object, which the constants, the parser and from_parts hand
-out. Values print in a canonical text form that parses back bit-exactly:
+read scalars through to_parts and write lists through from_parts; single
+results such as a determinant or a minor come from the constructor. Values
+are immutable, so each small Gaussian integer (both parts within
+SHARED_BOUND) has one shared object, which the constants, the parser,
+from_parts and every result that takes a gcd hand out. Values print in a
+canonical text form that parses back bit-exactly:
 
     gaussian := real | imag | real sign imag
     real     := rat
@@ -154,11 +156,14 @@ def _new(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    # (a + b*i)/d for any d > 0; math.gcd stops once it reaches 1, so d goes
-    # first, and d == 1 costs no gcd of the parts
+    # (a + b*i)/d for any d > 0, a small Gaussian integer as its shared
+    # object; math.gcd stops once it reaches 1, so d goes first, and d == 1
+    # costs no gcd of the parts
     g = math.gcd(d, a, b)
     if g != 1:
         a, b, d = a // g, b // g, d // g
+    if d == 1 and a in _SHARED_PARTS and b in _SHARED_PARTS:
+        return _SHARED[a][b]
     return _new(a, b, d)
 
 
@@ -198,24 +203,15 @@ def to_parts(values) -> tuple[list[int], list[int], int]:
 
 
 def from_parts(re: list, im: list, scale: int = 1) -> list:
-    """The scalars (re[j] + im[j]*i)/scale, the inverse of to_parts; every
-    zero is the one ZERO. At scale 1 they are all shared objects when every
-    part is within SHARED_BOUND, else one new object per nonzero value; from
-    CPython 3.11 on the range scan stops at the first part out of range, so
-    large values pay little for it."""
+    """The scalars (re[j] + im[j]*i)/scale, the inverse of to_parts; each
+    value that reduces to a small Gaussian integer is its shared object, at
+    any scale and whatever else the lists hold. At scale 1 with every part
+    within SHARED_BOUND that is one table lookup per value, else one gcd per
+    nonzero value; from CPython 3.11 on the range scan stops at the first
+    part out of range, so large values pay little for it."""
     if scale == 1 and _SHARED_PARTS.issuperset(re) and _SHARED_PARTS.issuperset(im):
         return list(map(getitem, map(_SHARED.__getitem__, re), im))
     return [_reduced(a, b, scale) if a or b else ZERO for a, b in zip(re, im)]
-
-
-def _parsed(a: int, b: int, d: int) -> GaussianRational:
-    # (a + b*i)/d for any d > 0, a small Gaussian integer as its shared object
-    g = math.gcd(d, a, b)
-    if g != 1:
-        a, b, d = a // g, b // g, d // g
-    if d == 1 and a in _SHARED_PARTS and b in _SHARED_PARTS:
-        return _SHARED[a][b]
-    return _new(a, b, d)
 
 
 def as_gaussian(value) -> GaussianRational:
@@ -318,23 +314,23 @@ def parse_gaussian(text: str) -> GaussianRational:
 
     num, den, pos = _scan_rat(s, 0)
     if pos == n:
-        return _parsed(num, 0, den)
+        return _reduced(num, 0, den)
     ch = s[pos]
     if ch == "i":
         if pos + 1 != n:
             raise ParseError("trailing characters after 'i'", pos + 1)
-        return _parsed(0, num, den)
+        return _reduced(0, num, den)
     if ch in "+-":
         sign = 1 if ch == "+" else -1
         pos += 1
         if pos < n and s[pos] == "i":
             if pos + 1 != n:
                 raise ParseError("trailing characters after 'i'", pos + 1)
-            return _parsed(num, sign * den, den)
+            return _reduced(num, sign * den, den)
         im_num, im_den, pos = _scan_unsigned(s, pos)
         if pos >= n or s[pos] != "i":
             raise ParseError("expected 'i'", pos)
         if pos + 1 != n:
             raise ParseError("trailing characters after 'i'", pos + 1)
-        return _parsed(num * im_den, sign * im_num * den, den * im_den)
+        return _reduced(num * im_den, sign * im_num * den, den * im_den)
     raise ParseError("unexpected character", pos)

@@ -9,10 +9,12 @@ leading principal minors of a Hankel matrix come from an O(n^2)
 fraction-free recurrence whose rows are the pivot rows that elimination
 would produce; it steps over each square block of vanishing minors, so one
 pass gives every minor, zeros included, and the J-fraction coefficients of
-:mod:`recqi.jacobi`. Both fraction-free routes take any Q(i) input: they run
-on L times it, L the least common multiple of its denominators, and divide
-an order-k minor by L^k, so callers never scale. Pivoting always takes the
-first nonzero candidate, so every result is bit-reproducible.
+:mod:`recqi.jacobi`. Both fraction-free routes take any Q(i) input, so
+callers never scale: Bareiss runs on each row times the least common
+multiple of its own denominators and divides by their product, and the
+recurrence runs on L times the values, L the least common multiple of their
+denominators, and divides an order-k minor by L^k. Pivoting always takes
+the first nonzero candidate, so every result is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -225,16 +227,18 @@ def _divide_powers(values: list, scale: int, first: int = 0) -> list:
 def det_bareiss(m: DenseMatrix) -> GaussianRational:
     """Fraction-free determinant of a Q(i) matrix.
 
-    The elimination runs on L*m in Z[i], L the least common multiple of the
-    denominators, and det(L*m) is divided by L^n. Row swaps are allowed
-    (with sign tracking) so singular and generic inputs are both fine.
+    The elimination runs in Z[i] on m with each row times the least common
+    multiple of its own denominators, and the determinant of that is divided
+    by the product of those multiples. Row swaps are allowed (with sign
+    tracking) so singular and generic inputs are both fine.
     """
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return ONE
-    re, im, scale = _as_int_pairs(m)
+    re, im, scales = map(list, zip(*(to_parts(m.row_list(r)) for r in range(n))))
+    scale = math.prod(scales)
     sign = 1
     pr, pi = 1, 0
     for k in range(n - 1):
@@ -264,7 +268,7 @@ def det_bareiss(m: DenseMatrix) -> GaussianRational:
                 rr_im[c] = (ti * pr - tr * pi) // nrm
         pr, pi = dr, di
     det = GaussianRational(sign * re[n - 1][n - 1], sign * im[n - 1][n - 1])
-    return det if scale == 1 else det / scale**n
+    return det if scale == 1 else det / scale
 
 
 def bareiss_leading_minors(m: DenseMatrix) -> list[GaussianRational]:
@@ -369,7 +373,7 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
     # every stored slot, less its bias, lies in [-2^e, 2^e)
     e_cur = max(map(int.bit_length, re + im), default=0)
     w = _slot_width(e_cur + 1)
-    bias = _ones(w, size) << (w - 1)
+    bias = _pack([0] * size, w)
     cur_re, cur_im = _pack(re, w), _pack(im, w)
     prev_re = prev_im = bias  # T_-1 = 0, held as the row at 0
     p = sig_prev = e_prev = sig_cur = 0
@@ -435,7 +439,7 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
                 for r, i, j in ((cur_re, cur_im, k), (prev_re, prev_im, p))
                 for part in zip(*_entries(r, i, w, 0, size - 2 * j, 0))
             )
-            w, bias = w2, _ones(w2, size) << (w2 - 1)
+            w, bias = w2, _pack([0] * size, w2)
         length = size - 2 * (k + h)
         zero = bias >> w * 2 * (k + h)
         mask = (1 << w * length) - 1
@@ -481,11 +485,6 @@ def _slot_width(bits: int) -> int:
     their sign, with about a quarter to spare, so that rows are seldom
     repacked."""
     return (bits + bits // 4 + 15) & ~7
-
-
-def _ones(w: int, count: int) -> int:
-    """count slots of w bits, each holding 1."""
-    return int.from_bytes((b"\1" + bytes(w // 8 - 1)) * count, "little")
 
 
 def _pack(values: list, w: int) -> int:

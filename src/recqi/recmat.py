@@ -38,7 +38,7 @@ from .gaussian import (
     parse_gaussian,
     to_parts,
 )
-from .linalg import DenseMatrix, SpanBasis, rref
+from .linalg import DenseMatrix, SpanBasis, mat_mul, rref
 
 
 class WordPair:
@@ -749,7 +749,41 @@ def same_function(pa: Presentation, pb: Presentation) -> bool:
     return 0 not in obs.pivots
 
 
-# -- builtin presentations ---------------------------------------------------
+# -- automata and builtin presentations --------------------------------------
+
+
+def from_automaton(lam, mu, gamma) -> Presentation:
+    """The presentation of a weighted automaton that reads letter 1 first,
+    with value lam . mu(s1, t1) ... mu(sn, tn) . gamma at (s1..sn, t1..tn):
+    lam and gamma list a weight per state, and mu maps each letter pair to
+    its transition matrix as a list of rows; p and q come from its keys.
+
+    With A = I - (gamma - e0) e0^T, so that A gamma = e0, the shifts are
+    A mu A^-1 and init is lam A^-1, where A^-1 = I + (gamma - e0) e0^T.
+    Raises ValueError unless gamma[0] == 1, which that basis change needs.
+    """
+    gamma = [as_gaussian(x) for x in gamma]
+    if not gamma or gamma[0] != ONE:
+        raise ValueError("the final weight of state 0 must be 1")
+    n = len(gamma)
+    a, a_inv = (
+        DenseMatrix(
+            n,
+            n,
+            [
+                ONE if r == c else sign * g if c == 0 else ZERO
+                for r, g in enumerate(gamma)
+                for c in range(n)
+            ],
+        )
+        for sign in (-1, 1)
+    )
+    shifts = {
+        key: mat_mul(mat_mul(a, DenseMatrix.from_rows(rows)), a_inv)
+        for key, rows in mu.items()
+    }
+    p, q = (1 + max(key[k] for key in mu) for k in (0, 1))
+    return Presentation(p, q, mat_mul(DenseMatrix(1, n, lam), a_inv).entries, shifts)
 
 
 def _mat(dim, rows):

@@ -834,7 +834,7 @@ def test_result_dim_cap_refuses_one_past_the_bound(
     tmp_path, capsys, monkeypatch, op, a, b, dim
 ):
     built = []
-    monkeypatch.setattr(recmat, cli._BINARY_OPS[op], lambda *args: built.append(args))
+    monkeypatch.setattr(recmat, cli._BINARY_OPS[op][0], lambda *args: built.append(args))
     left = write_presentation(tmp_path / "a.json", a)
     right = write_presentation(tmp_path / "b.json", b)
     code, out, err = run_cli(capsys, "recmat", op, left, right)
@@ -864,7 +864,7 @@ def test_result_dim_cap_admits_the_bound(tmp_path, capsys, monkeypatch, op, a, b
         built.append((left.dim, right.dim))
         return builtin("zero")
 
-    monkeypatch.setattr(recmat, cli._BINARY_OPS[op], stub)
+    monkeypatch.setattr(recmat, cli._BINARY_OPS[op][0], stub)
     left = write_presentation(tmp_path / "a.json", a)
     right = write_presentation(tmp_path / "b.json", b)
     code, out, err = run_cli(capsys, "recmat", op, left, right)
@@ -1179,6 +1179,24 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["recmat"])
     assert info.value.code == 2
+
+
+def test_recmat_help_lists_the_operations_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as info:
+        main(["recmat", "--help"])
+    assert info.value.code == 0
+    listed = re.findall(r"^ {4}(\w+) +(\S.*)$", capsys.readouterr().out, re.M)
+    assert listed == [
+        ("eval", "value at one word pair"),
+        ("unfold", "dense value matrix up to a depth"),
+        ("sum", "pointwise sum of two presentations"),
+        ("product", "matrix product of two presentations"),
+        ("hadamard", "entrywise product of two presentations"),
+        ("convolve", "convolution over splittings"),
+        ("transpose", "swap word roles"),
+        ("minimize", "smallest presentation of the same function"),
+    ]
 
 
 def test_output_is_deterministic(capsys, tmp_path):

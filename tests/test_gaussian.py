@@ -238,6 +238,13 @@ def test_constants_are_the_shared_small_integers():
     assert all(pow_i(k) is units[(0, 2, 1, 3)[k]] for k in range(4))
 
 
+def test_reduced_results_are_the_shared_small_integers():
+    half = GaussianRational(Fraction(1, 2))
+    assert half + half is ONE
+    assert (ONE + I) / (ONE + I) is ONE
+    assert half * GaussianRational(-4, 2) is gaussian._SHARED[-2][1]
+
+
 def test_only_the_scalar_module_writes_scalar_fields():
     # shared scalars must never change: outside gaussian.py no code stores
     # or deletes _a, _b or _d, nor spells one as a string, as setattr takes it

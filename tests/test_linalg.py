@@ -3,6 +3,7 @@
 import ast
 import operator
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -189,6 +190,21 @@ def test_det_bareiss_of_rational_matrices():
         n = rng.randint(1, 5)
         m = DenseMatrix(n, n, [random_rational(rng, 3) for _ in range(n * n)])
         assert det_bareiss(m) == det_field(m)
+
+
+def test_det_bareiss_scales_each_row_by_its_own_denominators():
+    # only the last three values of this Hankel matrix, in its last three
+    # rows, carry the 300-bit denominator; scaled by one common multiple,
+    # every row carried it, and the call took seconds
+    rng = random.Random(2)
+    d = rng.getrandbits(300) | 1 << 299 | 1
+    values = [random_gaussian_integer(rng, 2) for _ in range(60)]
+    values += [GaussianRational(Fraction(rng.randint(1, 9), d), 1) for _ in range(3)]
+    m = DenseMatrix(32, 32, [values[r + c] for r in range(32) for c in range(32)])
+    start = time.perf_counter()
+    det = det_bareiss(m)
+    assert time.perf_counter() - start < 1
+    assert det == det_field(m)
 
 
 def test_leading_minors_match_per_order_determinants():

@@ -252,6 +252,7 @@ SMALL_PART = st.integers(-gaussian.SHARED_BOUND, gaussian.SHARED_BOUND)
     st.sampled_from([1, 1, 1, 2, 12, 10**6]),
 )
 @example([(1, 0), (0, -1), (8, 8), (0, 0)], (5, 9), 1)
+@example([(2, -4), (6, 0), (3, 0), (0, 0)], None, 2)
 def test_scalars_from_int_parts_match_fraction_pairs(pairs, outlier, scale):
     re, im = [a for a, _ in pairs], [b for _, b in pairs]
     if pairs and outlier is not None:
@@ -259,15 +260,16 @@ def test_scalars_from_int_parts_match_fraction_pairs(pairs, outlier, scale):
         k, part = outlier
         (re, im)[k % 2][k // 2 % len(pairs)] = part
     got = gaussian.from_parts(re, im, scale)
-    shared = scale == 1 and all(pair in SHARED for pair in zip(re, im))
     assert len(got) == len(pairs)
     for x, a, b in zip(got, re, im):
         assert_canonical(x)
-        assert FractionPair(x) == FractionPair(Fraction(a, scale), Fraction(b, scale))
-        if shared:
-            assert x is SHARED[a, b]
-        elif not (a or b):
-            assert x is ZERO
+        value = Fraction(a, scale), Fraction(b, scale)
+        assert FractionPair(x) == FractionPair(*value)
+        # whatever the scale and the rest of the table, a value that reduces
+        # to a small Gaussian integer is its shared object
+        parts = value[0].numerator, value[1].numerator
+        if value[0].denominator == value[1].denominator == 1 and parts in SHARED:
+            assert x is SHARED[parts]
 
 
 @PROPERTY

@@ -21,6 +21,8 @@ from recqi import (
     builtin,
     complexity,
     evaluate,
+    fold,
+    from_automaton,
     hankel,
     mat_mul,
     minimize,
@@ -449,6 +451,80 @@ def observation_kernel(pres):
     obs = recmat._orbit_span(list(pres.init), actions)
     rows = [x for vec in obs.vectors() for x in vec]
     return kernel_basis(DenseMatrix(obs.dim, pres.dim, rows))
+
+
+def carry_automaton():
+    """H_def, (lam, mu, gamma): the sum of r and c, read letter 1 first, with
+    a weight i on each set bit of it; the state is the carry, and the final
+    weights flush it."""
+
+    def step(s, t):
+        rows = [[ZERO, ZERO], [ZERO, ZERO]]
+        for carry in range(2):
+            total = s + t + carry
+            rows[carry][total // 2] = I if total % 2 else ONE
+        return rows
+
+    return [ONE, ZERO], {(s, t): step(s, t) for s in range(2) for t in range(2)}, [ONE, I]
+
+
+def diagonal_automaton(last=ONE - I):
+    """D_def, (lam, mu, gamma), on the letters (0, 0) and (1, 1): the states
+    are no 1 yet, just read the lowest 1, the next bit was 0 and the next
+    bit was 1; last is the final weight of the last state."""
+    zero = [[0] * 4 for _ in range(4)]
+    mu = {
+        (0, 0): [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        (1, 1): [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
+        (0, 1): zero,
+        (1, 0): zero,
+    }
+    return [1, 0, 0, 0], mu, [ONE, ONE + I, ONE + I, last]
+
+
+def test_from_automaton_gives_the_moment_table():
+    h_def = from_automaton(*carry_automaton())
+    assert same_function(H, h_def)
+    table = unfold(h_def, 5)
+    assert all(table[r, c] == moment(r + c) for r in range(32) for c in range(32))
+
+
+def test_from_automaton_gives_the_diagonal():
+    d_def = from_automaton(*diagonal_automaton())
+    assert same_function(D, d_def)
+    assert not same_function(D, from_automaton(*diagonal_automaton(last=ONE + I)))
+    diagonal = unfold(d_def, 6).diagonal()
+    assert diagonal == [ONE] + [ONE + I * fold(n) for n in range(1, 64)]
+
+
+def test_from_automaton_matches_the_automaton_product():
+    def dot(xs, ys):
+        return sum((x * y for x, y in zip(xs, ys)), ZERO)
+
+    rng = random.Random(72)
+    for _ in range(50):
+        p, q, dim = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 3)
+        lam = [random_gaussian(rng, 3) for _ in range(dim)]
+        gamma = [ONE] + [random_gaussian(rng, 3) for _ in range(dim - 1)]
+        mu = {
+            (s, t): [[random_gaussian(rng, 3) for _ in range(dim)] for _ in range(dim)]
+            for s in range(p)
+            for t in range(q)
+        }
+        pres = from_automaton(lam, mu, gamma)
+        for length in range(4):
+            for pair in word_pairs(p, q, length):
+                vec = lam
+                for s, t in pair.letters():
+                    vec = [dot(vec, column) for column in zip(*mu[s, t])]
+                assert evaluate(pres, pair) == dot(vec, gamma)
+
+
+def test_from_automaton_needs_final_weight_one_at_state_0():
+    lam, mu, _ = carry_automaton()
+    for gamma in ([I, I], [2, 0], [0, 1]):
+        with pytest.raises(ValueError, match="final weight of state 0 must be 1"):
+            from_automaton(lam, mu, gamma)
 
 
 def test_saturation_levels():
