@@ -7,8 +7,9 @@ Gaussian integers (d == 1) take no gcd. The int kernels of linalg and recmat
 read scalars through to_parts and write lists through from_parts; single
 results such as a determinant or a minor come from the constructor. Values
 are immutable, so each small Gaussian integer (both parts within
-SHARED_BOUND) has one shared object, which the constants, the parser,
-from_parts and every result that takes a gcd hand out. Values print in a
+SHARED_BOUND) has one shared object, which the constants, the parser, the
+coercion of ints and Fractions, from_parts and every result that takes a
+gcd hand out. Values print in a
 canonical text form that parses back bit-exactly:
 
     gaussian := real | imag | real sign imag
@@ -168,10 +169,12 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _coerce(value) -> GaussianRational | None:
+    # a small integer as its shared object
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return _new(value.numerator, 0, value.denominator)
+        a, d = value.numerator, value.denominator
+        return _SHARED[a][0] if d == 1 and a in _SHARED_PARTS else _new(a, 0, d)
     return None
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from functools import reduce
 
 from .gaussian import (
     ZERO,
@@ -50,6 +49,13 @@ class DenseMatrix:
         self._rows = rows
         self._cols = cols
         self._e = e
+
+    @classmethod
+    def _of_scalars(cls, rows: int, cols: int, entries) -> "DenseMatrix":
+        # library code that holds rows * cols scalars already: no type scan
+        self = object.__new__(cls)
+        self._rows, self._cols, self._e = rows, cols, tuple(entries)
+        return self
 
     @classmethod
     def from_rows(cls, rows) -> "DenseMatrix":
@@ -105,7 +111,7 @@ class DenseMatrix:
     def transpose(self) -> "DenseMatrix":
         e = self._e
         c = self._cols
-        return DenseMatrix(
+        return DenseMatrix._of_scalars(
             c, self._rows, [e[r * c + j] for j in range(c) for r in range(self._rows)]
         )
 
@@ -164,7 +170,8 @@ def mat_mul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
                     row_im[c] += x * v + y * u
         re += row_re
         im += row_im
-    return DenseMatrix(a.rows, b.cols, from_parts(re, im, a_scale * b_scale))
+    entries = from_parts(re, im, a_scale * b_scale)
+    return DenseMatrix._of_scalars(a.rows, b.cols, entries)
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, int, tuple[int, ...]]:
@@ -311,18 +318,6 @@ def _hankel_values(m: DenseMatrix) -> list | None:
     return list(values)
 
 
-def _mul(x: tuple, y: tuple) -> tuple:
-    """Product of two Gaussian integers held as (re, im) int pairs."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _div(x: tuple, y: tuple) -> tuple:
-    """Exact quotient x / y of two Gaussian integers held as int pairs."""
-    nrm = y[0] * y[0] + y[1] * y[1]
-    re, im = _mul(x, (y[0], -y[1]))
-    return re // nrm, im // nrm
-
-
 def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
     """Leading minors and entries T_k(k+1) for c(0..2n-2), given as the int
     pairs of L*c with L = scale.
@@ -347,137 +342,161 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
     each less a factor common to all of them and the norm |g|^2), then a
     division by that norm.
 
-    Each row T_k is 2^sigma times two ints that hold its real and imaginary
-    parts by Kronecker substitution: slot j, w bits wide, holds the entry
-    at index k + j plus a bias of 2^(w-1), so no slot borrows from the next,
-    and only the valid entries k..2n-2-k are stored. The scalar steps read
-    the low slots. A step is whole-row int arithmetic: cut the h+1 shifted
-    rows of T_k and the row of T_p that the numerator reads (a shift and a
-    mask, then the bias off), sum a_j T_k(l+j) - c T_p(l) on them, and
-    divide the whole int by the odd part of the norm. The numerator's slots
-    may overflow into each other, but the int is still sum_l N_l 2^(w l),
-    and as the odd part divides every N_l, the quotient is
-    sum_l (N_l / odd) 2^(w l) exactly. Its slots can be read back once each
-    provably lies below 2^(w-1): that follows from the 1-norm of the
-    coefficients and the bound 2^e on each stored row's slots, measured once
-    by biased mask tests when the row is made; where it fails, both rows are
-    read slot by slot and packed again at a larger w. The norm's power of two
-    and the power of two common to every slot (the low bits of the biased
-    slots show it) go into sigma, so the rows of the paper's tables, whose
-    entries carry ever more factors of 2, stay a few bits a slot. Returns
-    D(0..n) of c, D(k) of L*c divided by L^k, and the int pairs of T_k(k+1)
-    of L*c for k <= n-2 while D(1..k) != 0.
+    Each row T_k is 2^sigma_k T'_k, and T'_k is two ints that hold its real
+    and imaginary parts by Kronecker substitution: slot j, w bits wide, holds
+    the entry at index k + j plus a bias of 2^(w-1), so no slot borrows from
+    the next, and only the valid entries k..2n-2-k are stored. The scalars of
+    a step are read from the low slots and work on T' alone: the same system
+    on T'_k and T'_p gives q' = q / 2^(h sigma_k + sigma_p), so with
+    D(k) = 2^delta D', T_{k+h} is 2^((h+1) sigma_k - h delta) times
+    s (sum_j q'_j T'_k(l+j) - tau'^(h+1) T'_p(l)) / (D'^h T'_p(k-1)), and
+    every scalar stays about as small as the slots. The row itself is
+    whole-row int arithmetic: cut the h+1 shifted rows of T'_k and the row
+    of T'_p that the numerator reads (a shift and a mask, then the bias
+    off), sum a_j T'_k(l+j) - c T'_p(l) on them, and divide the whole int by
+    the odd part of the norm. The numerator's slots may overflow into each
+    other, but the int is still sum_l N_l 2^(w l), and as the odd part
+    divides every N_l, the quotient is sum_l (N_l / odd) 2^(w l) exactly.
+    Its slots can be read back once each provably lies below 2^(w-1): that
+    follows from the 1-norm of the coefficients and the bound 2^e on each
+    stored row's slots, each new row's e the bit length of the bound that
+    made it. Only when a step's bound reaches 2^(w-1) are both rows measured
+    by biased mask tests, and only if the measured bound does too are they
+    packed again at a larger w. The norm's power of two and the power of two
+    common to every slot (the low bits of the biased slots show it) go into
+    sigma, so the rows of the paper's tables, whose entries carry ever more
+    factors of 2, stay a few bits a slot. Returns D(0..n) of c, D(k) of L*c
+    divided by L^k, and the int pairs of T_k(k+1) of L*c for k <= n-2 while
+    D(1..k) != 0.
     """
     size = len(re)
     n = (size + 1) // 2
     # every stored slot, less its bias, lies in [-2^e, 2^e)
     e_cur = max(map(int.bit_length, re + im), default=0)
     w = _slot_width(e_cur + 1)
-    bias = _pack([0] * size, w)
+    half, slot = 1 << w - 1, (1 << w) - 1
+    zero = bias = _pack([0] * size, w)
     cur_re, cur_im = _pack(re, w), _pack(im, w)
     prev_re = prev_im = bias  # T_-1 = 0, held as the row at 0
     p = sig_prev = e_prev = sig_cur = 0
-    d = e = (1, 0)  # D(k) and T_p(k-1)
-    minors = [ONE]
+    # D(k) = 2^delta (dr + di i) and T_p(k-1) = 2^sig_prev (er + ei i)
+    dr, di, delta, er, ei = 1, 0, 0, 1, 0
+    minors_re, minors_im = [1] + [0] * n, [0] * (n + 1)
     upper = []
     k = 0
     while k < n:
-        zero = bias >> w * 2 * k  # the row of T_k holds size - 2k slots
         # a slot xor its bias is 0 exactly for a zero entry, so the lowest
         # set bit lies in the slot of the first nonzero one
         lowest = (cur_re ^ zero) | (cur_im ^ zero)
-        m = min(k + _trailing_zeros(lowest) // w, n) if lowest else n
-        # T_k(k..m+h), where T_k(k+1) and tau = T_k(m) are
-        count = min(2 if m == n else 2 * (m - k + 1), size - 2 * k)
-        cur = _entries(cur_re, cur_im, w, 0, count, sig_cur)
+        m = min(k + ((lowest & -lowest).bit_length() - 1) // w, n) if lowest else n
+        h = m - k + 1
+        # the slots of T_k(k..m+h), where T_k(k+1) and tau = T_k(m) are
+        cut = (1 << 2 * h * w) - 1
+        lo_re, lo_im = cur_re & cut, cur_im & cut
         if len(upper) == k < n - 1:
-            upper.append(cur[1])
-        minors += [ZERO] * (m - k)
+            xr = (lo_re >> w & slot) - half << sig_cur
+            upper.append((xr, (lo_im >> w & slot) - half << sig_cur))
         if m == n:
             break
-        h = m - k + 1
-        tau = cur[h - 1]
+        # tau and every entry read below are stored ones: tau' and T'
+        tr = (lo_re >> w * (h - 1) & slot) - half
+        ti = (lo_im >> w * (h - 1) & slot) - half
         s = -1 if h % 4 > 1 else 1
-        th = reduce(_mul, [tau] * h)
-        d_next = _div((s * th[0], s * th[1]), reduce(_mul, [d] * (h - 1), (1, 0)))
-        minors.append(GaussianRational(*d_next))
-        if k + h == n:
+        # D(k+h) = s tau^h / D(k)^(h-1) = 2^x (nr + ni i): the odd part of
+        # the divisor's norm divides, its power of two comes off x
+        xr, xi, yr, yi = tr, ti, 1, 0
+        for _ in range(h - 1):
+            xr, xi = xr * tr - xi * ti, xr * ti + xi * tr
+            yr, yi = yr * dr - yi * di, yr * di + yi * dr
+        nrm = yr * yr + yi * yi
+        nu = (nrm & -nrm).bit_length() - 1
+        nr = s * (xr * yr + xi * yi) // (nrm >> nu)
+        ni = s * (xi * yr - xr * yi) // (nrm >> nu)
+        x = h * sig_cur - (h - 1) * delta - nu
+        if x < 0:
+            nr, ni, x = nr >> -x, ni >> -x, 0
+        minors_re[m + 1], minors_im[m + 1] = nr << x, ni << x
+        if m + 1 == n:
             break
-        th1 = _mul(th, tau)
-        prev = _entries(prev_re, prev_im, w, k - p, k - p + h, sig_prev)
-        q = [None] * h + [_mul(th, e)]
-        for i in range(1, h + 1):
-            acc = _mul(th1, prev[i - 1])
-            for t in range(1, i + 1):
-                y = _mul(q[h - i + t], cur[h - 1 + t])
-                acc = acc[0] - y[0], acc[1] - y[1]
-            q[h - i] = _div(acc, tau)
-        # s times the divisor's conjugate, folded into the row coefficients
-        gr, gi = reduce(_mul, [d] * h, e)
+        # g = s times the conjugate of D'^h T'_p(k-1), and its norm
+        yr, yi = yr * dr - yi * di, yr * di + yi * dr
+        gr, gi = yr * er - yi * ei, yr * ei + yi * er
         nrm = gr * gr + gi * gi
         gr, gi = s * gr, -s * gi
-        coeffs = [v for x, y in (*q, th1) for v in (x * gr - y * gi, x * gi + y * gr)]
+        # c = tau^(h+1) g, a_h = tau^h T'_p(k-1) g and, for i = 1..h,
+        # a_(h-i) = (c T'_p(k-1+i) - sum_t a_(h-i+t) T'_k(m+t)) / tau, exact
+        # as every a_j is a Gaussian integer
+        yr, yi = xr * gr - xi * gi, xr * gi + xi * gr
+        cr, ci = yr * tr - yi * ti, yr * ti + yi * tr
+        ar, ai = [yr * er - yi * ei], [yr * ei + yi * er]
+        tn = tr * tr + ti * ti
+        shift = w * (k - p)
+        pv_re = (prev_re & (1 << shift + w * h) - 1) >> shift
+        pv_im = (prev_im & (1 << shift + w * h) - 1) >> shift
+        for i in range(h):
+            yr = (pv_re >> w * i & slot) - half
+            yi = (pv_im >> w * i & slot) - half
+            zr, zi = cr * yr - ci * yi, cr * yi + ci * yr
+            for j in range(i + 1):
+                yr = (lo_re >> w * (h + j) & slot) - half
+                yi = (lo_im >> w * (h + j) & slot) - half
+                zr -= ar[i - j] * yr - ai[i - j] * yi
+                zi -= ar[i - j] * yi + ai[i - j] * yr
+            ar.append((zr * tr + zi * ti) // tn)
+            ai.append((zi * tr - zr * ti) // tn)
         # a factor common to the coefficients and the norm leaves every
-        # quotient as it is and exact, so divide it out; on the stored rows,
-        # T_k / 2^sig and T_p / 2^sig, the coefficients take the rest of
-        # their sigmas
-        g = math.gcd(nrm, *coeffs)
+        # quotient as it is and exact, so divide it out
+        g = math.gcd(nrm, cr, ci, *ar, *ai)
         nrm //= g
-        sig = min(sig_cur, sig_prev)
-        a = [v // g << sig_cur - sig for v in coeffs[:-2]]
-        c = [v // g << sig_prev - sig for v in coeffs[-2:]]
-        nu = _trailing_zeros(nrm)
+        nu = (nrm & -nrm).bit_length() - 1
         odd = nrm >> nu
         # no quotient slot exceeds bound in absolute value
-        bound = (
-            (sum(map(abs, a)) << e_cur) + (abs(c[0]) + abs(c[1]) << e_prev)
-        ) // odd
+        size_a = sum(map(abs, ar + ai)) // g
+        size_c = (abs(cr) + abs(ci)) // g
+        bound = ((size_a << e_cur) + (size_c << e_prev)) // odd
+        if bound >> (w - 1):
+            prev = prev_re, prev_im, bias >> w * 2 * p, e_prev
+            e_cur, e_prev = _slot_bits(w, (cur_re, cur_im, zero, e_cur), prev)
+            bound = ((size_a << e_cur) + (size_c << e_prev)) // odd
         if bound >> (w - 1):
             w2 = _slot_width(bound.bit_length() + 1)
             cur_re, cur_im, prev_re, prev_im = (
-                _pack(part, w2)
-                for r, i, j in ((cur_re, cur_im, k), (prev_re, prev_im, p))
-                for part in zip(*_entries(r, i, w, 0, size - 2 * j, 0))
+                _pack(_unpack(row, w, size - 2 * j), w2)
+                for row, j in ((cur_re, k), (cur_im, k), (prev_re, p), (prev_im, p))
             )
             w, bias = w2, _pack([0] * size, w2)
-        length = size - 2 * (k + h)
+            half, slot = 1 << w - 1, (1 << w) - 1
         zero = bias >> w * 2 * (k + h)
-        mask = (1 << w * length) - 1
-        num_re = num_im = 0
+        mask = (1 << w * (size - 2 * (k + h))) - 1
+        # the numerator on the rows cut from T'_k and T'_p, the bias off
+        xr, xi = cr // g, ci // g
+        yr = (prev_re >> w * (k + h - p) & mask) - zero
+        yi = (prev_im >> w * (k + h - p) & mask) - zero
+        num_re, num_im = xi * yi - xr * yr, -xr * yi - xi * yr
         for j in range(h + 1):
-            ar, ai = a[2 * j : 2 * j + 2]
-            if ar or ai:
-                xr = (cur_re >> w * (h + j) & mask) - zero
-                xi = (cur_im >> w * (h + j) & mask) - zero
-                num_re += ar * xr - ai * xi
-                num_im += ar * xi + ai * xr
-        if c[0] or c[1]:
-            yr = (prev_re >> w * (k + h - p) & mask) - zero
-            yi = (prev_im >> w * (k + h - p) & mask) - zero
-            num_re -= c[0] * yr - c[1] * yi
-            num_im -= c[0] * yi + c[1] * yr
+            xr, xi = ar[h - j] // g, ai[h - j] // g
+            yr = (cur_re >> w * (h + j) & mask) - zero
+            yi = (cur_im >> w * (h + j) & mask) - zero
+            num_re += xr * yr - xi * yi
+            num_im += xr * yi + xi * yr
         if odd != 1:
             num_re //= odd
             num_im //= odd
         # the power of two common to every slot: 2^t divides an entry,
-        # t < w, exactly when the low t bits of its biased slot are clear
+        # t < w - 1, exactly when bits 0..t-1 of its biased slot are clear
         new_re, new_im = num_re + zero, num_im + zero
         low = new_re | new_im
-        unit = zero >> (w - 1)
         t = 0
-        while t < w - 1 and not low & ((unit << t + 1) - unit):
+        while t < w - 1 and not low & zero >> (w - 1 - t):
             t += 1
         if t:
             new_re, new_im = (num_re >> t) + zero, (num_im >> t) + zero
         prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, new_re, new_im
         # a zero row has every power of two, so any sigma serves it
-        sig_prev, sig_cur = sig_cur, max(sig - nu + t, 0)
-        e_prev = e_cur
-        e_cur = _slot_bits(new_re, new_im, w, zero, (bound >> t).bit_length())
-        p = k
-        d, e = d_next, tau
-        k += h
-    return _divide_powers(minors, scale), upper
+        sig_prev, sig_cur = sig_cur, max((h + 1) * sig_cur - h * delta - nu + t, 0)
+        e_prev, e_cur = e_cur, (bound >> t).bit_length()
+        p, k, dr, di, delta, er, ei = k, k + h, nr, ni, x, tr, ti
+    return _divide_powers(from_parts(minors_re, minors_im), scale), upper
 
 
 def _slot_width(bits: int) -> int:
@@ -491,42 +510,36 @@ def _pack(values: list, w: int) -> int:
     """values in biased slots of w bits, each |value| < 2^(w-1)."""
     half, size = 1 << (w - 1), w // 8
     return int.from_bytes(
-        b"".join((v + half).to_bytes(size, "little") for v in values), "little"
+        b"".join([(v + half).to_bytes(size, "little") for v in values]), "little"
     )
 
 
-def _entries(r: int, i: int, w: int, lo: int, hi: int, sig: int) -> list:
-    """The pairs (re, im) at slots lo..hi-1 of the biased rows r and i,
-    times 2^sig."""
-    low = (1 << w * hi) - 1
-    r, i = r & low, i & low
-    half, slot = 1 << (w - 1), (1 << w) - 1
+def _unpack(x: int, w: int, count: int) -> list:
+    """The values in the count biased slots of x, the inverse of _pack."""
+    half, size = 1 << (w - 1), w // 8
+    data = x.to_bytes(count * size, "little")
     return [
-        ((r >> w * j & slot) - half << sig, (i >> w * j & slot) - half << sig)
-        for j in range(lo, hi)
+        int.from_bytes(data[j : j + size], "little") - half
+        for j in range(0, len(data), size)
     ]
 
 
-def _slot_bits(r: int, i: int, w: int, bias: int, hi: int) -> int:
-    """The least e <= hi with every slot of the biased rows r and i in
-    [-2^e, 2^e), given that hi holds and that bias is the rows' own, by
-    bisection: at e <= w - 2 a slot is in range exactly when, with 2^e in
-    place of its bias, its bits e+1..w-1 are clear."""
-    ones = bias >> (w - 1)
-    lo = 0
-    while lo < hi:
-        e = (lo + hi) // 2
-        shifted = bias - (ones << e)
-        high = (ones << w) - (ones << e + 1)
-        if ((r - shifted) | (i - shifted)) & high:
-            lo = e + 1
-        else:
-            hi = e
-    return lo
-
-
-def _trailing_zeros(x: int) -> int:
-    return (x & -x).bit_length() - 1
+def _slot_bits(w: int, *rows):
+    """Yields, for each row, given as the biased ints r and i, their own bias
+    and a bound hi that holds, the least e <= hi with every slot in
+    [-2^e, 2^e), by bisection: at e <= w - 2 a slot is in range exactly
+    when, with 2^e in place of its bias, its bits e+1..w-1 are clear."""
+    for r, i, bias, hi in rows:
+        ones = bias >> (w - 1)
+        top, lo = ones << w, 0
+        while lo < hi:
+            e = (lo + hi) // 2
+            shifted = bias - (ones << e)
+            if ((r - shifted) | (i - shifted)) & top - (ones << e + 1):
+                lo = e + 1
+            else:
+                hi = e
+        yield lo
 
 
 class SpanBasis:

@@ -222,7 +222,7 @@ def hankel(
     entries = []
     for s in range(order):
         entries += vals[s : s + order]
-    return DenseMatrix(order, order, entries)
+    return DenseMatrix._of_scalars(order, order, entries)
 
 
 def hankel_det_table(

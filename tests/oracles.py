@@ -36,7 +36,7 @@ from recqi import (
     rref,
     zero_presentation,
 )
-from recqi.linalg import _as_int_pairs, _div, _divide_powers, _mul
+from recqi.linalg import _as_int_pairs, _divide_powers
 from recqi.recmat import _apply_action, _orbit_span, _sparse_rows
 
 UNIT_POOL = (
@@ -183,6 +183,18 @@ def leading_minors_by_elimination(m: DenseMatrix) -> list[GaussianRational]:
             _bareiss_step(re, im, k, n, dr, di, pr, pi)
         pr, pi = dr, di
     return _divide_powers(minors, scale)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two Gaussian integers held as (re, im) int pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _div(x: tuple, y: tuple) -> tuple:
+    """Exact quotient x / y of two Gaussian integers held as int pairs."""
+    nrm = y[0] * y[0] + y[1] * y[1]
+    re, im = _mul(x, (y[0], -y[1]))
+    return re // nrm, im // nrm
 
 
 def hankel_minors_by_entries(cur_re: list, cur_im: list, scale: int) -> tuple[list, list]:

@@ -19,6 +19,7 @@ from recqi import (
     GaussianRational,
     ParseError,
     as_gaussian,
+    builtin,
     format_gaussian,
     parse_gaussian,
     pow_i,
@@ -243,6 +244,15 @@ def test_reduced_results_are_the_shared_small_integers():
     assert half + half is ONE
     assert (ONE + I) / (ONE + I) is ONE
     assert half * GaussianRational(-4, 2) is gaussian._SHARED[-2][1]
+
+
+def test_coerced_small_integers_are_the_shared_objects():
+    assert as_gaussian(1) is ONE and as_gaussian(True) is ONE
+    assert as_gaussian(Fraction(-8, 1)) is gaussian._SHARED[-8][0]
+    assert as_gaussian(9).integer_parts() == (9, 0, 1)
+    assert as_gaussian(Fraction(-1, 2)).integer_parts() == (-1, 0, 2)
+    # the builtins' int entries, coerced by DenseMatrix
+    assert builtin("H").shift(0, 0)[0, 0] is ONE
 
 
 def test_only_the_scalar_module_writes_scalar_fields():

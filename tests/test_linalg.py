@@ -25,7 +25,7 @@ from recqi import (
     pow_i,
     rref,
 )
-from recqi.gaussian import to_parts
+from recqi.gaussian import from_parts, to_parts
 from oracles import (
     det_cofactor,
     hankel_minors_by_entries,
@@ -528,6 +528,25 @@ def test_packed_rows_match_the_per_entry_kernel(kind, monkeypatch):
             )
 
 
+def test_slot_bounds_are_measured_only_when_they_trip(monkeypatch):
+    # each new row carries the bound that made it, and both rows are
+    # measured only when a step's bound reaches the slot width
+    calls = []
+    slot_bits = linalg._slot_bits
+
+    def counting(w, *rows):
+        calls.append(len(rows))
+        return slot_bits(w, *rows)
+
+    monkeypatch.setattr(linalg, "_slot_bits", counting)
+    tables = packed_kernel_tables("conjecture-check")
+    for values in tables:
+        assert linalg._hankel_minors(*to_parts(values))[0][-1]
+    # every minor of these order-129 tables is nonzero: 128 steps each
+    steps = sum(len(values) // 2 for values in tables)
+    assert calls and set(calls) == {2} and 4 * len(calls) <= steps
+
+
 def test_leading_minors_build_one_scalar_per_minor(monkeypatch):
     # the i^tau(n) moments: every Hankel minor is nonzero
     n = 12
@@ -539,13 +558,19 @@ def test_leading_minors_build_one_scalar_per_minor(monkeypatch):
         built.append(parts)
         return GaussianRational(*parts)
 
+    def counting_parts(re, im, scale=1):
+        built.extend(zip(re, im))
+        return from_parts(re, im, scale)
+
     monkeypatch.setattr(linalg, "GaussianRational", counting)
+    monkeypatch.setattr(linalg, "from_parts", counting_parts)
     minors = bareiss_leading_minors(m)
-    assert len(built) == n and all(minors)
+    # D(0..n), all from one pass over their int pairs
+    assert len(built) == n + 1 and all(minors)
     # only the J-fraction route reads T_k(k+1), so only it builds them
     built.clear()
     assert linalg.hankel_recurrence(values)[0] == minors
-    assert len(built) == 2 * n - 1
+    assert len(built) == 2 * n
 
 
 def test_matrix_coerces_only_what_the_library_did_not_build(monkeypatch):
@@ -559,8 +584,14 @@ def test_matrix_coerces_only_what_the_library_did_not_build(monkeypatch):
     def no_coercion(value):
         raise AssertionError(f"{value!r} was coerced again")
 
+    def no_constructor(self, *args):
+        raise AssertionError("a library-built matrix was scanned again")
+
     monkeypatch.setattr(linalg, "as_gaussian", no_coercion)
+    monkeypatch.setattr(DenseMatrix, "__init__", no_constructor)
     assert mat_mul(m.transpose(), m)[0, 0] == x * x
+    moments = [[thuemorse.moment(1 + s + t) for t in range(3)] for s in range(3)]
+    assert thuemorse.hankel(thuemorse.moment, 1, 3).to_lists() == moments
 
 
 def test_degeneracy_carries_unscaled_minors():
