@@ -5,8 +5,9 @@ A series c(x) = sum c_n x^n with nonvanishing Hankel determinants expands as
     c(x) = c_0 / (1 - u_0 x - v_1 x^2 / (1 - u_1 x - v_2 x^2 / ...))
 
 The coefficients come out of the same fraction-free Chebyshev recurrence
-that gives the leading Hankel minors (:mod:`recqi.linalg`); a vanishing
-minor raises :class:`DegeneracyError`; the series re-expands along Motzkin paths.
+that gives the leading Hankel minors (:mod:`recqi.linalg`), and a vanishing
+minor raises :class:`DegeneracyError`. The series re-expands along Motzkin
+paths by one recurrence on the int or Fraction parts of u and v.
 
 For the digit-sum moments i^tau(n) the coefficients follow closed forms:
 u_n = (-1)^n * i, and v_n obeys a base-2 self-similar recursion starting
@@ -15,8 +16,11 @@ from the table v_1..v_7 = 1+i, 1, -i, i, 1, -i, 1 (see :func:`v_formula`).
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .errors import DegeneracyError
-from .gaussian import ZERO, ONE, I, GaussianRational, as_gaussian, from_parts, to_parts
+from .gaussian import ZERO, ONE, I, GaussianRational, as_gaussian, from_parts
 from .linalg import hankel_recurrence
 from .thuemorse import SeriesTruncation
 
@@ -111,49 +115,33 @@ def jfraction_to_series(jf: JFraction, c0, order: int) -> SeriesTruncation:
     below level `depth` is replaced by 1, which leaves every coefficient
     through x^(2*depth) untouched: no step is taken at height `depth`.
 
-    One three-term recurrence over the heights sums the paths. When every
-    u and v is a Gaussian integer it runs on (re, im) int pairs, else on
-    scalars. The pairs take no common denominator: paths of length n would
-    carry its n-th power, and at depth 40 with a 4,000-bit lcm that is
-    hundreds of times slower than the scalars, which reduce as they go.
+    One three-term recurrence over the heights sums the paths, on the real
+    and imaginary parts of u and v: ints where a coefficient is a Gaussian
+    integer, else Fractions over its own denominator, which reduce as they
+    go. The parts take no common denominator: paths of length n would carry
+    its n-th power, and at depth 40 with a 4,000-bit lcm that is hundreds of
+    times slower than Fractions.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     c0 = as_gaussian(c0)
-    coeffs = jf.u + jf.v
-    # test the denominators first: to_parts of deep rational u and v would
-    # take an lcm of thousands of bits only to find it is not 1
-    if all(x.integer_parts()[2] == 1 for x in coeffs):
-        re, im, _ = to_parts(coeffs)
-        heads = from_parts(*_integer_path_heads(re, im, jf.depth, order))
-        return SeriesTruncation([c0 * h for h in heads])
-    u, v = jf.u + (ZERO,), jf.v + (ZERO,)  # v[k]: the step down to height k
-    series, w = [c0], [ONE]  # w[k]: weight of the paths so far ending at k
-    for n in range(1, order + 1):
-        below = [ZERO] + w + [ZERO, ZERO]  # w[k - 1] at index k
-        w = []
-        # paths above order - n cannot get back to 0 by step order
-        for k in range(min(n, order - n, jf.depth) + 1):
-            acc = below[k]
-            if below[k + 1]:
-                acc = acc + u[k] * below[k + 1]
-            if below[k + 2]:
-                acc = acc + v[k] * below[k + 2]
-            w.append(acc)
-        series.append(c0 * w[0])
-    return SeriesTruncation(series)
+    parts = [x.integer_parts() for x in jf.u + jf.v]
+    re = [a if d == 1 else Fraction(a, d) for a, _, d in parts]
+    im = [b if d == 1 else Fraction(b, d) for _, b, d in parts]
+    heads = from_parts(*_path_heads(re, im, jf.depth, order))
+    return SeriesTruncation([c0 * h for h in heads])
 
 
-def _integer_path_heads(re: list, im: list, depth: int, order: int):
-    # the recurrence of jfraction_to_series on Z[i] parts, re[:depth] and
-    # im[:depth] those of u and the rest those of v; the parts of w[0] after
-    # each length 0..order
+def _path_heads(re: list, im: list, depth: int, order: int):
+    # the recurrence of jfraction_to_series on the parts of u (re[:depth] and
+    # im[:depth]) and v (the rest); the parts of w[0] after each length
+    # 0..order over their common denominator, as to_parts gives them
     ur, ui = re[:depth] + [0], im[:depth] + [0]
     vr, vi = re[depth:] + [0], im[depth:] + [0]
     head_re, head_im = [1], [0]
     wr, wi = [1], [0]
     for n in range(1, order + 1):
-        top = min(n, order - n, depth) + 1
+        top = min(n, order - n, depth) + 1  # paths above order - n end above 0
         wr, wi = wr + [0, 0], wi + [0, 0]
         nr, ni = [0] + wr[: top - 1], [0] + wi[: top - 1]  # the up steps
         for k in range(top):
@@ -170,7 +158,11 @@ def _integer_path_heads(re: list, im: list, depth: int, order: int):
         wr, wi = nr, ni
         head_re.append(wr[0])
         head_im.append(wi[0])
-    return head_re, head_im
+    scale = math.lcm(*{x.denominator for x in head_re + head_im})
+    head_re, head_im = (
+        [x.numerator * (scale // x.denominator) for x in h] for h in (head_re, head_im)
+    )
+    return head_re, head_im, scale
 
 
 def u_formula(n: int) -> GaussianRational:

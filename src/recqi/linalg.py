@@ -134,8 +134,8 @@ class DenseMatrix:
         return self.is_upper_triangular() and self.transpose().is_upper_triangular()
 
     def is_upper_triangular(self) -> bool:
-        c, e = self._cols, self._e
-        return not any(any(e[r * c : r * c + min(r, c)]) for r in range(self._rows))
+        c, e, zeros = self._cols, self._e, (ZERO,) * self._cols  # every zero is ZERO
+        return all(e[r * c : r * c + min(r, c)] == zeros[:r] for r in range(self._rows))
 
     def is_unit_lower_triangular(self) -> bool:
         return (
@@ -358,27 +358,27 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
     other, but the int is still sum_l N_l 2^(w l), and as the odd part
     divides every N_l, the quotient is sum_l (N_l / odd) 2^(w l) exactly.
     Its slots can be read back once each provably lies below 2^(w-1): that
-    follows from the 1-norm of the coefficients and the bound 2^e on each
-    stored row's slots, each new row's e the bit length of the bound that
-    made it. Only when a step's bound reaches 2^(w-1) are both rows measured
-    by biased mask tests, and only if the measured bound does too are they
-    packed again at a larger w. The norm's power of two and the power of two
-    common to every slot (the low bits of the biased slots show it) go into
-    sigma, so the rows of the paper's tables, whose entries carry ever more
-    factors of 2, stay a few bits a slot. Returns D(0..n) of c, D(k) of L*c
-    divided by L^k, and the int pairs of T_k(k+1) of L*c for k <= n-2 while
-    D(1..k) != 0.
+    follows from the 1-norm of the coefficients and the bound b on each
+    stored row's |slots|, each new row's b the bound that made it over the
+    power of two taken out, and a measured row's 2^e. Only when a step's
+    bound reaches 2^(w-1) are both rows measured by biased mask tests, and
+    only if the measured bound does too are they packed again at a larger w.
+    The norm's power of two and the power of two common to every slot (the
+    low bits of the biased slots show it) go into sigma, so the rows of the
+    paper's tables, whose entries carry ever more factors of 2, stay a few
+    bits a slot. Returns D(0..n) of c, D(k) of L*c divided by L^k, and the
+    int pairs of T_k(k+1) of L*c for k <= n-2 while D(1..k) != 0.
     """
     size = len(re)
     n = (size + 1) // 2
-    # every stored slot, less its bias, lies in [-2^e, 2^e)
-    e_cur = max(map(int.bit_length, re + im), default=0)
-    w = _slot_width(e_cur + 1)
+    # no stored slot, less its bias, exceeds b in absolute value
+    b_cur = max(map(abs, re + im), default=0)
+    w = _slot_width(b_cur.bit_length() + 1)
     half, slot = 1 << w - 1, (1 << w) - 1
     zero = bias = _pack([0] * size, w)
     cur_re, cur_im = _pack(re, w), _pack(im, w)
     prev_re = prev_im = bias  # T_-1 = 0, held as the row at 0
-    p = sig_prev = e_prev = sig_cur = 0
+    p = sig_prev = b_prev = sig_cur = 0
     # D(k) = 2^delta (dr + di i) and T_p(k-1) = 2^sig_prev (er + ei i)
     dr, di, delta, er, ei = 1, 0, 0, 1, 0
     minors_re, minors_im = [1] + [0] * n, [0] * (n + 1)
@@ -453,11 +453,11 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
         # no quotient slot exceeds bound in absolute value
         size_a = sum(map(abs, ar + ai)) // g
         size_c = (abs(cr) + abs(ci)) // g
-        bound = ((size_a << e_cur) + (size_c << e_prev)) // odd
+        bound = (size_a * b_cur + size_c * b_prev) // odd
         if bound >> (w - 1):
-            prev = prev_re, prev_im, bias >> w * 2 * p, e_prev
-            e_cur, e_prev = _slot_bits(w, (cur_re, cur_im, zero, e_cur), prev)
-            bound = ((size_a << e_cur) + (size_c << e_prev)) // odd
+            prev = prev_re, prev_im, bias >> w * 2 * p, b_prev
+            b_cur, b_prev = _slot_bits(w, (cur_re, cur_im, zero, b_cur), prev)
+            bound = (size_a * b_cur + size_c * b_prev) // odd
         if bound >> (w - 1):
             w2 = _slot_width(bound.bit_length() + 1)
             cur_re, cur_im, prev_re, prev_im = (
@@ -494,7 +494,7 @@ def _hankel_minors(re: list, im: list, scale: int) -> tuple[list, list]:
         prev_re, prev_im, cur_re, cur_im = cur_re, cur_im, new_re, new_im
         # a zero row has every power of two, so any sigma serves it
         sig_prev, sig_cur = sig_cur, max((h + 1) * sig_cur - h * delta - nu + t, 0)
-        e_prev, e_cur = e_cur, (bound >> t).bit_length()
+        b_prev, b_cur = b_cur, bound >> t
         p, k, dr, di, delta, er, ei = k, k + h, nr, ni, x, tr, ti
     return _divide_powers(from_parts(minors_re, minors_im), scale), upper
 
@@ -526,12 +526,12 @@ def _unpack(x: int, w: int, count: int) -> list:
 
 def _slot_bits(w: int, *rows):
     """Yields, for each row, given as the biased ints r and i, their own bias
-    and a bound hi that holds, the least e <= hi with every slot in
-    [-2^e, 2^e), by bisection: at e <= w - 2 a slot is in range exactly
-    when, with 2^e in place of its bias, its bits e+1..w-1 are clear."""
-    for r, i, bias, hi in rows:
+    and a bound b < 2^(w-1) on every |slot|, min(b, 2^e) for the least e with
+    each slot in [-2^e, 2^e), by bisection: at e <= w - 2 a slot is in range
+    exactly when, with 2^e in place of its bias, its bits e+1..w-1 are clear."""
+    for r, i, bias, b in rows:
         ones = bias >> (w - 1)
-        top, lo = ones << w, 0
+        top, lo, hi = ones << w, 0, b.bit_length()
         while lo < hi:
             e = (lo + hi) // 2
             shifted = bias - (ones << e)
@@ -539,7 +539,7 @@ def _slot_bits(w: int, *rows):
                 lo = e + 1
             else:
                 hi = e
-        yield lo
+        yield min(b, 1 << lo)
 
 
 class SpanBasis:

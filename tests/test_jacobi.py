@@ -238,6 +238,26 @@ def test_reexpansion_of_a_deep_rational_fraction():
     assert series.coefficients == tuple(ms)
 
 
+def test_rational_fractions_take_the_one_path_recurrence(monkeypatch):
+    # u and v with denominators run the recurrence of the Gaussian-integer
+    # fractions, on Fraction parts
+    calls = []
+    path_heads = jacobi._path_heads
+
+    def counting(re, im, depth, order):
+        calls.append((re, im))
+        return path_heads(re, im, depth, order)
+
+    monkeypatch.setattr(jacobi, "_path_heads", counting)
+    jf = JFraction([Fraction(1, 2), I], [GaussianRational(Fraction(1, 3), -1), 2])
+    series = jfraction_to_series(jf, ONE, 6)
+    assert series == jfraction_by_convergents(jf, ONE, 6)
+    assert len(calls) == 1
+    re, im = calls[0]
+    assert re == [Fraction(1, 2), 0, Fraction(1, 3), 2] and im == [0, 1, -1, 0]
+    assert [type(x) for x in re] == [Fraction, int, Fraction, int]
+
+
 def test_hankel_ratio_degenerate_table():
     jf = JFraction([I], [ONE])
     with pytest.raises(DegeneracyError) as info:

@@ -321,9 +321,17 @@ def jfractions(draw):
     return JFraction(draw(coeffs), draw(coeffs))
 
 
-# orders past 2 * depth read the tail convention as well
+# orders past 2 * depth read the tail convention as well; the example mixes
+# int parts (u) and Fraction parts (v) in one fraction
 @PROPERTY
 @given(jfractions(), gaussians(6), st.integers(0, 20))
+@example(
+    JFraction(
+        [1 + I, -I, 2], [Fraction(1, 2), GaussianRational(Fraction(-2, 3), 1), 3 * I]
+    ),
+    GaussianRational(Fraction(1, 5), 2),
+    11,
+)
 def test_jfraction_paths_match_the_convergents(jf, c0, order):
     paths = jfraction_to_series(jf, c0, order).coefficients
     assert paths == jfraction_by_convergents(jf, c0, order).coefficients
