@@ -14,6 +14,7 @@ entry (3, 2) at depth 2 is written as row "11", column "01".
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import DegeneracyError
@@ -33,6 +34,7 @@ MAX_COUNT = 1000
 MAX_ORDER = 128
 # beta_coeffs/gamma_coeffs build the series through offset + 2 * max_order
 MAX_OFFSET = 2**16
+MAX_LU_DEPTH = 8  # verify-lu at depth 8 takes about 0.8 s and 32 MB (README)
 # largest table `recmat unfold` builds: 4^9 cells is builtin:H at depth 9
 MAX_UNFOLD_CELLS = 4**9
 # cap on cells x dim, which bounds what `unfold` holds within a small factor:
@@ -67,6 +69,8 @@ def _int_flag(text: str) -> int:
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative")
     if value > cap:
         raise ValueError(f"{flag} {value} is more than the cap of {cap}")
 
@@ -78,8 +82,6 @@ def determinant_report(max_n: int, sigma) -> VerificationReport:
     """
     from . import gaussian, thuemorse
 
-    if max_n < 0:
-        raise ValueError("--max-n must be nonnegative")
     _check_cap("--max-n", max_n, MAX_N)
     series = thuemorse.series_product(sigma, 2 * max_n)
     dets = thuemorse.hankel_det_table(series.coefficient, 0, max_n + 1)
@@ -102,8 +104,7 @@ def lu_report(depth: int) -> VerificationReport:
     """
     from . import gaussian, linalg, recmat, thuemorse
 
-    if not 0 <= depth <= 8:
-        raise ValueError("--depth must lie in 0..8")
+    _check_cap("--depth", depth, MAX_LU_DEPTH)
     moments = thuemorse.series_product(None, 2 ** (depth + 1))
     dets = thuemorse.hankel_det_table(moments.coefficient, 0, 2**depth)
     report = VerificationReport(("n", "diag_product", "folding_product", "match"))
@@ -119,9 +120,7 @@ def lu_report(depth: int) -> VerificationReport:
             and dia.is_diagonal()
             and upp.is_upper_triangular()
         )
-        diag_prod = gaussian.ONE
-        for x in dia.diagonal():
-            diag_prod = diag_prod * x
+        diag_prod = math.prod(dia.diagonal(), start=gaussian.ONE)
         fold_prod = thuemorse.folding_product(size - 1)
         ok_dets = diag_prod == dets[size] and diag_prod == fold_prod
         report.add(
@@ -134,8 +133,6 @@ def jfraction_report(count: int) -> VerificationReport:
     """Continued-fraction coefficients u_n, v_n vs their closed forms, n <= count."""
     from . import gaussian, jacobi, thuemorse
 
-    if count < 0:
-        raise ValueError("--count must be nonnegative")
     _check_cap("--count", count, MAX_COUNT)
     depth = count + 1
     series = thuemorse.series_product(None, 2 * depth)
@@ -162,10 +159,6 @@ def unit_det_report(series: str, max_order: int, offset: int) -> VerificationRep
     """
     from . import gaussian, thuemorse
 
-    if max_order < 0:
-        raise ValueError("--max-order must be nonnegative")
-    if offset < 0:
-        raise ValueError("--offset must be nonnegative")
     _check_cap("--max-order", max_order, MAX_ORDER)
     _check_cap("--offset", offset, MAX_OFFSET)
     coeffs = getattr(thuemorse, f"{series}_coeffs")(offset + 2 * max_order)
@@ -185,10 +178,6 @@ def conjecture_report(
 
     from .thuemorse import SignSequence
 
-    if trials < 0 or prefix_len < 0:
-        raise ValueError("--trials and --prefix-len must be nonnegative")
-    if max_n < 0:
-        raise ValueError("--max-n must be nonnegative")
     _check_cap("--trials", trials, MAX_TRIALS)
     _check_cap("--prefix-len", prefix_len, MAX_PREFIX_LEN)
     _check_cap("--max-n", max_n, MAX_N)
@@ -249,11 +238,9 @@ def cmd_recmat_unfold(args) -> int:
     from . import gaussian, recmat
 
     pres = _load_presentation(args.presentation)
-    if args.depth < 0:
-        raise ValueError("--depth must be nonnegative")
-    # (p*q)^depth grows from p*q >= 2 on, and 2^bit_length already exceeds
-    # the cap, so a bounded exponent decides the comparison for any depth
-    cells = (pres.p * pres.q) ** min(args.depth, MAX_UNFOLD_CELLS.bit_length())
+    # the deepest level p*q >= 2 reaches under the cell cap; p = q = 1 stops there too
+    _check_cap("--depth", args.depth, MAX_UNFOLD_CELLS.bit_length() - 1)
+    cells = (pres.p * pres.q) ** args.depth
     if cells > MAX_UNFOLD_CELLS:
         raise ValueError(
             f"--depth {args.depth} unfolds {pres.p}^{args.depth} x"
@@ -264,8 +251,6 @@ def cmd_recmat_unfold(args) -> int:
             f"--depth {args.depth} unfolds {cells} cells x {pres.dim} generators,"
             f" more than the cap of {MAX_UNFOLD_VALUES} values"
         )
-    # the deepest level p*q >= 2 reaches under the cell cap; p = q = 1 stops there too
-    _check_cap("--depth", args.depth, MAX_UNFOLD_CELLS.bit_length() - 1)
     matrix = recmat.unfold(pres, args.depth)
     if args.format == "json":
         import json

@@ -146,8 +146,7 @@ def test_presentation_commands_keep_their_bytes(capsys, argv, summary, digest):
 
 def test_verify_lu_depth_contract(capsys):
     code, out, err = run_cli(capsys, "verify-lu", "--depth", "9")
-    assert code == 2
-    assert "0..8" in err
+    assert (code, out, err) == (2, "", "error: --depth 9 is more than the cap of 8\n")
 
 
 def test_jfraction_table(capsys, monkeypatch):
@@ -599,14 +598,22 @@ def test_unfold_to_file(tmp_path, capsys):
     assert text.splitlines()[0] == "1,1i,1i,-1"
 
 
-@pytest.mark.parametrize("depth", ["10", "1000000000"])
-def test_unfold_rejects_tables_over_the_cell_cap(capsys, depth):
+@pytest.mark.parametrize(
+    "depth, cap",
+    [
+        pytest.param("10", 262144, id="10"),
+        pytest.param("18", 262144, id="18"),
+        # past depth 18 the depth cap answers before any cell count
+        pytest.param("1000000000", 18, id="1000000000"),
+    ],
+)
+def test_unfold_rejects_tables_over_the_cell_cap(capsys, depth, cap):
     # 4^10 cells would take minutes and gigabytes; the cap answers at once
     code, out, err = run_cli(capsys, "recmat", "unfold", "builtin:H", "--depth", depth)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    assert "more than the cap of 262144" in err
+    assert f"more than the cap of {cap}" in err
 
 
 def test_unfold_cap_admits_depth_nine(capsys, monkeypatch):
@@ -640,7 +647,8 @@ def test_unfold_cap_counts_the_alphabets(capsys, tmp_path):
 
 def test_unfold_caps_the_depth_of_one_letter_presentations(capsys, tmp_path):
     # p = q = 1 keeps one cell at every depth; the depth cap of 18 is the
-    # deepest level any larger alphabet reaches under the cell cap
+    # deepest level any larger alphabet reaches under the cell cap, so it is
+    # checked first, for larger alphabets too
     data = {
         "p": 1,
         "q": 1,
@@ -654,11 +662,12 @@ def test_unfold_caps_the_depth_of_one_letter_presentations(capsys, tmp_path):
     code, out, err = run_cli(capsys, "recmat", "unfold", str(one), "--depth", "18")
     # (1 + i)^18 = (2i)^9
     assert (code, out, err) == (0, "512i\n", "")
-    for depth in ("19", "1000000000"):
-        code, out, err = run_cli(capsys, "recmat", "unfold", str(one), "--depth", depth)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: --depth {depth} is more than the cap of 18\n"
+    for source in (str(one), "builtin:H"):
+        for depth in ("19", "1000000000"):
+            argv = ("recmat", "unfold", source, "--depth", depth)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: --depth {depth} is more than the cap of 18\n"
 
 
 def test_unfold_cap_counts_the_generators(capsys, tmp_path):
@@ -725,6 +734,7 @@ SIZE_CAPS = [
     ("gamma-hankel", "--max-order", cli.MAX_ORDER),
     ("beta-hankel --max-order 1", "--offset", cli.MAX_OFFSET),
     ("gamma-hankel --max-order 1", "--offset", cli.MAX_OFFSET),
+    ("verify-lu", "--depth", cli.MAX_LU_DEPTH),
 ]
 
 
@@ -743,14 +753,11 @@ def test_size_cap_admits_the_bound(capsys, builds, command, flag, cap):
     assert len(builds) == 1
 
 
+# every capped flag refuses -1 with its own message
 NEGATIVE_ARGUMENTS = [
-    ("verify-det --max-n -1", "--max-n must be nonnegative"),
-    ("verify-lu --depth -1", "--depth must lie in 0..8"),
-    ("jfraction --count -1", "--count must be nonnegative"),
-    ("beta-hankel --max-order -1", "--max-order must be nonnegative"),
-    ("gamma-hankel --max-order 1 --offset -1", "--offset must be nonnegative"),
-    ("conjecture-check --trials -1", "--trials and --prefix-len must be nonnegative"),
-    ("conjecture-check --prefix-len -1", "--trials and --prefix-len must be nonnegative"),
+    (f"{command} {flag} -1", f"{flag} must be nonnegative")
+    for command, flag, _ in SIZE_CAPS
+] + [
     # with no trials, no per-trial table would check --max-n
     ("conjecture-check --trials 0 --max-n -3", "--max-n must be nonnegative"),
     ("recmat unfold builtin:H --depth -1", "--depth must be nonnegative"),

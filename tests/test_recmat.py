@@ -17,6 +17,8 @@ from recqi import (
     I,
     ParseError,
     Presentation,
+    SeriesTruncation,
+    SignSequence,
     WordPair,
     builtin,
     complexity,
@@ -110,6 +112,37 @@ def test_word_pair_from_strings():
     with pytest.raises(ParseError, match="column word letter must be a digit") as info:
         pair_of("10", "0\u0661")
     assert info.value.position == 1
+
+
+def test_value_classes_compare_hash_and_print_by_value():
+    # each pair is two equal values built by different routes
+    pairs = [
+        (pair_of("10", "01"), WordPair(2, 2, [1, 0], [0, 1]), "WordPair('10', '01')"),
+        (
+            DenseMatrix.from_rows([[1, I]]),
+            DenseMatrix(1, 2, [ONE, I]),
+            "DenseMatrix(1x2)",
+        ),
+        (SignSequence.from_string("+-"), SignSequence([1, -1]), "SignSequence('+-')"),
+        (
+            SeriesTruncation([1, I]),
+            SeriesTruncation((ONE, I)),
+            "SeriesTruncation(order=1)",
+        ),
+    ]
+    for x, y, text in pairs:
+        assert x is not y
+        assert x == y and not x != y
+        assert repr(x) == repr(y) == text
+        assert x != text
+    for x, y, _ in pairs[:3]:
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+    # a truncation compares by value but is not hashable
+    with pytest.raises(TypeError):
+        hash(pairs[3][0])
+    assert pair_of("10", "01") != pair_of("01", "10")
+    assert DenseMatrix.zeros(1, 2) != DenseMatrix.zeros(2, 1)
 
 
 def test_minimize_refuses_a_short_orbit_vector_past_the_bit_cap():
