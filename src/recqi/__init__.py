@@ -23,7 +23,7 @@ _EXPORTS = {
     " u_formula v_formula",
     "linalg": "DenseMatrix SpanBasis bareiss_leading_minors det_bareiss"
     " det_field mat_mul rref",
-    "recmat": "Presentation WordPair builtin complexity evaluate from_automaton"
+    "recmat": "Presentation WordPair builtin evaluate from_automaton"
     " minimize rec_convolution rec_hadamard rec_product rec_scale rec_sum"
     " rec_transpose same_function unfold unfold_levels zero_presentation",
     "report": "VerificationReport",

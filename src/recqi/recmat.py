@@ -732,11 +732,6 @@ def minimize(pres: Presentation) -> Presentation:
     return Presentation(pres.p, pres.q, new_init, new_shifts, labels)
 
 
-def complexity(pres: Presentation) -> int:
-    """Dimension of a minimal presentation of the represented function."""
-    return minimize(pres).dim
-
-
 def same_function(pa: Presentation, pb: Presentation) -> bool:
     """Exact equality of represented functions: the difference is zero
     exactly when every vector of its observation orbit is 0 at generator 0,

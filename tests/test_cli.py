@@ -24,6 +24,8 @@ from recqi import (
     WordPair,
     builtin,
     evaluate,
+    rec_convolution,
+    rec_product,
     same_function,
 )
 from recqi import cli, jacobi, recmat, thuemorse
@@ -833,6 +835,13 @@ def write_presentation(path, dim, p=1, q=1):
     return str(path)
 
 
+def cyclic_permutation(dim):
+    # p = q = 1, init e0 and a shift that takes generator c to c + 1 mod dim
+    shift = [int(r == (c + 1) % dim) for r in range(dim) for c in range(dim)]
+    init = [1] + [0] * (dim - 1)
+    return Presentation(1, 1, init, {(0, 0): DenseMatrix(dim, dim, shift)})
+
+
 @pytest.mark.parametrize(
     "op, a, b, dim",
     [("sum", 128, 129, 257), ("convolve", 1, 256, 257), ("product", 16, 17, 272)],
@@ -983,7 +992,9 @@ def test_minimize_refuses_sparse_orbits_past_the_size_cap(capsys, tmp_path, dim,
     # 37 s and 106 s, with entries of at most 566 bits
     path = tmp_path / "sparse.json"
     path.write_text(sparse_presentation(dim).to_json_text())
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "recmat", "minimize", str(path))
+    assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == (
         f"error: an orbit vector of length {dim} has an entry of {bits} bits:"
@@ -1147,18 +1158,12 @@ def test_presentation_rejects_noncanonical_shift_keys(capsys, tmp_path, alias):
 
 def test_presentation_refuses_huge_alphabets_at_once(tmp_path):
     # p * q letter pairs are never listed, so this small file is refused at
-    # once; the child's address space is capped so that a regression fails
-    # with MemoryError instead of filling the machine
+    # once; the budget makes a regression fail with MemoryError instead of
+    # filling the machine
     data = {"p": 10**9, "q": 10**9, "dim": 0, "labels": [], "init": [], "shifts": {}}
     source = tmp_path / "huge.json"
     source.write_text(json.dumps(data), encoding="utf-8")
-    result = subprocess.run(
-        [sys.executable, "-m", "recqi", "recmat", "eval", str(source), "", ""],
-        capture_output=True,
-        env=child_env(),
-        timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28)),
-    )
+    result = run_budgeted(["recmat", "eval", "huge.json", "", ""], tmp_path)
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr == b"error: shifts must cover exactly the letter pairs\n"
 
@@ -1229,6 +1234,86 @@ def child_env():
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+# the address space and the seconds a budgeted child may take
+CHILD_BYTES = 2**27
+CHILD_SECONDS = 10
+
+
+def run_budgeted(argv, cwd):
+    """Run `python -m recqi *argv` in cwd, in a child process whose address
+    space is capped at CHILD_BYTES, and fail past CHILD_SECONDS."""
+    return subprocess.run(
+        [sys.executable, "-m", "recqi", *argv],
+        capture_output=True,
+        cwd=cwd,
+        env=child_env(),
+        timeout=CHILD_SECONDS,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (CHILD_BYTES, CHILD_BYTES)
+        ),
+    )
+
+
+# the input files the budget cases name, each written in the child's cwd
+BUDGET_INPUTS = {
+    "product-uu.json": lambda path: path.write_text(
+        rec_product(builtin("U"), builtin("U")).to_json_text()
+    ),
+    "convolve-uu.json": lambda path: path.write_text(
+        rec_convolution(builtin("U"), builtin("U")).to_json_text()
+    ),
+    "cycle-256.json": lambda path: path.write_text(
+        cyclic_permutation(256).to_json_text()
+    ),
+    "eye-257.json": lambda path: write_presentation(path, 257, 2, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, summary",
+    [
+        pytest.param(
+            ["verify-det", "--max-n", "1000"], 0, "1001/1001 rows match\n", id="det"
+        ),
+        pytest.param(["verify-lu", "--depth", "8"], 0, "9/9 rows match\n", id="lu"),
+        pytest.param(
+            ["recmat", "unfold", "builtin:U", "--depth", "8"], 0, "", id="unfold"
+        ),
+        # the offset-0 tables take block steps and are not unit by design
+        pytest.param(
+            ["beta-hankel", "--max-order", "128", "--offset", "0"],
+            1,
+            "17/128 rows match\n",
+            id="beta",
+        ),
+        pytest.param(
+            ["gamma-hankel", "--max-order", "128", "--offset", "0"],
+            1,
+            "0/128 rows match\n",
+            id="gamma",
+        ),
+        # the largest builtin inputs: minimize solves on 21 and 41
+        # observation rows
+        pytest.param(["recmat", "minimize", "product-uu.json"], 0, "", id="product"),
+        pytest.param(["recmat", "minimize", "convolve-uu.json"], 0, "", id="convolve"),
+        # dim 256 is the minimize input cap, and no generator is redundant
+        pytest.param(["recmat", "minimize", "cycle-256.json"], 0, "", id="cycle"),
+        # a dim-257 operand is read whole, and its convolution with zero has dim 0
+        pytest.param(
+            ["recmat", "convolve", "eye-257.json", "builtin:zero"], 0, "", id="eye"
+        ),
+    ],
+)
+def test_largest_accepted_inputs_fit_the_budget(tmp_path, argv, code, summary):
+    # each command at the largest input it accepts, in 128 MB and 10 s
+    for name in argv:
+        if name in BUDGET_INPUTS:
+            BUDGET_INPUTS[name](tmp_path / name)
+    result = run_budgeted(argv, tmp_path)
+    assert (result.returncode, result.stderr.decode()) == (code, summary)
+    assert result.stdout
 
 
 def test_module_entry_point():

@@ -21,7 +21,6 @@ from recqi import (
     SignSequence,
     WordPair,
     builtin,
-    complexity,
     evaluate,
     fold,
     from_automaton,
@@ -401,9 +400,9 @@ def test_minimize_fixtures():
         assert minimize(zero).to_json_text() == zero.to_json_text()
     assert minimize(DELTA).dim == 1
     assert minimize(H).dim == 2
-    assert complexity(rec_scale(0, H)) == 0
+    assert minimize(rec_scale(0, H)).dim == 0
     # two copies summed still need only the original dimension
-    assert complexity(rec_sum(H, H)) == 2
+    assert minimize(rec_sum(H, H)).dim == 2
 
 
 def test_minimize_first_generator_is_the_function():
@@ -447,7 +446,7 @@ def test_complexity_of_product_is_at_most_product():
         p, r, q = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
         pa = random_presentation(rng, p, r)
         pb = random_presentation(rng, r, q)
-        assert complexity(rec_product(pa, pb)) <= complexity(pa) * complexity(pb)
+        assert minimize(rec_product(pa, pb)).dim <= minimize(pa).dim * minimize(pb).dim
 
 
 def test_same_function():
@@ -601,7 +600,7 @@ def test_duplicated_generator_is_detected():
     dup = Presentation(2, 2, [ONE, I, ONE], rows)
     for depth in range(5):
         assert unfold(dup, depth) == unfold(H, depth)
-    assert complexity(dup) == 2
+    assert minimize(dup).dim == 2
     deps = observation_kernel(dup)
     assert spans_equal(deps, [[ONE, ZERO, -ONE]], 3)
     lvl = saturation_level(dup, 4)
